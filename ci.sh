@@ -1,5 +1,6 @@
 #!/bin/sh
-# Continuous-integration entry point: full build + test suite, then a CLI
+# Continuous-integration entry point: full build + test suite, the
+# perfbench self-test, then a CLI
 # smoke pass over every example program in both execution modes (compiled
 # physical plans, the default, and --interpreted, the AST-walking ablation
 # baseline) asserting identical answers, plus a probmc estimate smoke on
@@ -13,6 +14,11 @@ dune build
 
 echo "== tests =="
 dune runtest
+
+echo "== perfbench self-test =="
+# Every benchmark workload at tiny sizes, both modes: a library change that
+# breaks the benchmark's build or its answer checks fails here.
+python3 perfbench/run.py --self-test
 
 PROBDL=_build/default/bin/probdl.exe
 PROBMC=_build/default/bin/probmc.exe

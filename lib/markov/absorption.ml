@@ -10,37 +10,27 @@ let into_closed chain ~start =
   List.iter
     (fun c -> List.iter (fun s -> is_transient.(s) <- false) scc.Scc.members.(c))
     closed;
-  let transient = List.filter (fun s -> is_transient.(s)) (List.init n Fun.id) in
-  let k = List.length transient in
-  let t_index = Hashtbl.create 16 in
-  List.iteri (fun i s -> Hashtbl.replace t_index s i) transient;
+  let transient = Array.of_list (List.filter (fun s -> is_transient.(s)) (List.init n Fun.id)) in
+  let t_index = Array.make n (-1) in
+  Array.iteri (fun i s -> t_index.(s) <- i) transient;
   (* For each closed component L: h_L restricted to transient states solves
      (I - P_TT) h = P_T->L 1, where P_TT is the transient-to-transient block. *)
-  let a =
-    Array.init k (fun i ->
-        let s = List.nth transient i in
-        Array.init k (fun j ->
-            let t = List.nth transient j in
-            let p = Chain.prob chain s t in
-            if i = j then Q.sub Q.one p else Q.neg p))
-  in
+  let a = Chain.identity_minus chain transient in
   let absorb_prob target_component =
     if not is_transient.(start) then
       if scc.Scc.component_of.(start) = target_component then Q.one else Q.zero
     else begin
       let in_target s = scc.Scc.component_of.(s) = target_component in
       let b =
-        Array.of_list
-          (List.map
-             (fun s ->
-               Q.sum
-                 (List.filter_map
-                    (fun (t, p) -> if in_target t then Some p else None)
-                    (Chain.succ chain s)))
-             transient)
+        Array.map
+          (fun s ->
+            List.fold_left
+              (fun acc (t, p) -> if in_target t then Q.add acc p else acc)
+              Q.zero (Chain.succ chain s))
+          transient
       in
       match Linalg.solve a b with
-      | Some h -> h.(Hashtbl.find t_index start)
+      | Some h -> h.(t_index.(start))
       | None -> raise (Chain.Chain_error "absorption: singular transient system")
     end
   in

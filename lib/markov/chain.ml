@@ -227,6 +227,20 @@ let prob c i j =
   | Some p -> p
   | None -> Q.zero
 
+let identity_minus c states =
+  let k = Array.length states in
+  let local = Array.make (Array.length c.labels) (-1) in
+  Array.iteri (fun i s -> local.(s) <- i) states;
+  Array.init k (fun i ->
+      let row = Array.make k Q.zero in
+      row.(i) <- Q.one;
+      List.iter
+        (fun (t, p) ->
+          let j = local.(t) in
+          if j >= 0 then row.(j) <- Q.sub row.(j) p)
+        c.rows.(states.(i));
+      row)
+
 let edges c =
   let acc = ref [] in
   Array.iteri (fun i row -> List.iter (fun (j, p) -> acc := (i, j, p) :: !acc) row) c.rows;

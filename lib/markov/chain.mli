@@ -58,6 +58,11 @@ val succ : 'a t -> int -> (int * Bigq.Q.t) list
 val prob : 'a t -> int -> int -> Bigq.Q.t
 (** One-step transition probability. *)
 
+val identity_minus : 'a t -> int array -> Bigq.Q.t array array
+(** [identity_minus c states] is [I - P] restricted to rows and columns
+    [states] (distinct indices), in that order: the matrix of the absorption
+    and hitting systems.  Built from the sparse rows in O(k{^2} + edges). *)
+
 val edges : 'a t -> (int * int * Bigq.Q.t) list
 
 val row_dist : 'a t -> int -> int Prob.Dist.t

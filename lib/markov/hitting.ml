@@ -48,18 +48,13 @@ let expected_steps chain ~targets =
   List.iter (fun t -> is_target.(t) <- true) targets;
   let certain = certain_states chain targets in
   (* Unknowns: non-target states with certain hitting. *)
-  let unknowns = List.filter (fun s -> certain.(s) && not is_target.(s)) (List.init n Fun.id) in
-  let k = List.length unknowns in
-  let index = Hashtbl.create 16 in
-  List.iteri (fun i s -> Hashtbl.replace index s i) unknowns;
-  let a =
-    Array.init k (fun i ->
-        let s = List.nth unknowns i in
-        Array.init k (fun j ->
-            let u = List.nth unknowns j in
-            let p = Chain.prob chain s u in
-            if i = j then Q.sub Q.one p else Q.neg p))
+  let unknowns =
+    Array.of_list (List.filter (fun s -> certain.(s) && not is_target.(s)) (List.init n Fun.id))
   in
+  let k = Array.length unknowns in
+  let index = Array.make n (-1) in
+  Array.iteri (fun i s -> index.(s) <- i) unknowns;
+  let a = Chain.identity_minus chain unknowns in
   let b = Array.make k Q.one in
   let h =
     if k = 0 then [||]
@@ -71,7 +66,7 @@ let expected_steps chain ~targets =
   Array.init n (fun s ->
       if is_target.(s) then Some Q.zero
       else if not certain.(s) then None
-      else Some h.(Hashtbl.find index s))
+      else Some h.(index.(s)))
 
 let expected_return_time chain i =
   if not (Classify.is_irreducible chain) then

@@ -21,75 +21,41 @@ let signature chain class_of s =
 let compare_signature = List.compare (fun (c1, p1) (c2, p2) ->
     match Int.compare c1 c2 with 0 -> Q.compare p1 p2 | c -> c)
 
+module Key = Map.Make (struct
+  type t = int * (int * Q.t) list
+
+  let compare (c1, s1) (c2, s2) =
+    match Int.compare c1 c2 with 0 -> compare_signature s1 s2 | c -> c
+end)
+
 let lump ~initial chain =
   let n = Chain.num_states chain in
-  (* Normalise the initial labelling to dense class ids. *)
-  let class_of = Array.make n 0 in
-  let next_class = ref 0 in
-  let seen = Hashtbl.create 16 in
-  for s = 0 to n - 1 do
-    let l = initial s in
-    match Hashtbl.find_opt seen l with
-    | Some c -> class_of.(s) <- c
-    | None ->
-      Hashtbl.replace seen l !next_class;
-      class_of.(s) <- !next_class;
-      incr next_class
-  done;
-  (* Refine until every class is signature-homogeneous. *)
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    let members = Hashtbl.create 16 in
-    for s = n - 1 downto 0 do
-      let prev = Option.value ~default:[] (Hashtbl.find_opt members class_of.(s)) in
-      Hashtbl.replace members class_of.(s) (s :: prev)
-    done;
-    Hashtbl.iter
-      (fun _ states ->
-        match states with
-        | [] | [ _ ] -> ()
-        | first :: rest ->
-          let ref_sig = signature chain class_of first in
-          let splitters =
-            List.filter (fun s -> compare_signature (signature chain class_of s) ref_sig <> 0) rest
-          in
-          if splitters <> [] then begin
-            (* Move each distinct deviating signature into a fresh class. *)
-            let fresh = Hashtbl.create 4 in
-            List.iter
-              (fun s ->
-                let sg = signature chain class_of s in
-                let key = Format.asprintf "%a"
-                    (Format.pp_print_list (fun f (c, p) -> Format.fprintf f "%d:%s;" c (Q.to_string p)))
-                    sg
-                in
-                let c =
-                  match Hashtbl.find_opt fresh key with
-                  | Some c -> c
-                  | None ->
-                    let c = !next_class in
-                    incr next_class;
-                    Hashtbl.replace fresh key c;
-                    c
-                in
-                class_of.(s) <- c)
-              splitters;
-            changed := true
-          end)
-      members
-  done;
-  (* Re-densify class ids and build the quotient. *)
-  let dense = Hashtbl.create 16 in
-  let k = ref 0 in
-  for s = 0 to n - 1 do
-    if not (Hashtbl.mem dense class_of.(s)) then begin
-      Hashtbl.replace dense class_of.(s) !k;
-      incr k
-    end
-  done;
-  let class_of = Array.map (Hashtbl.find dense) class_of in
-  let k = !k in
+  (* Number the states' keys by first occurrence: dense class ids. *)
+  let number key_of =
+    let ids = ref Key.empty and k = ref 0 in
+    let class_of =
+      Array.init n (fun s ->
+          let key = key_of s in
+          match Key.find_opt key !ids with
+          | Some c -> c
+          | None ->
+            let c = !k in
+            ids := Key.add key c !ids;
+            incr k;
+            c)
+    in
+    (class_of, !k)
+  in
+  let class_of, k = number (fun s -> (initial s, [])) in
+  (* Refine until every class is signature-homogeneous.  Each round splits
+     classes by signatures taken against the partition the round started
+     from; reading a partition that the round is still rewriting would split
+     states that belong together, missing the coarsest partition. *)
+  let rec refine class_of k =
+    let class_of', k' = number (fun s -> (class_of.(s), signature chain class_of s)) in
+    if k' = k then (class_of, k) else refine class_of' k'
+  in
+  let class_of, k = refine class_of k in
   let representative = Array.make k (-1) in
   for s = n - 1 downto 0 do
     representative.(class_of.(s)) <- s

@@ -1,14 +1,12 @@
 module Q = Bigq.Q
 
 (* Solve pi (P - I) = 0, sum pi = 1: transpose to (P^T - I) pi^T = 0 and
-   replace the last equation by the normalisation row. *)
-let solve_stationary_system n prob =
-  let a =
-    Array.init n (fun i ->
-        Array.init n (fun j ->
-            let p_ji = prob j i in
-            if i = j then Q.sub p_ji Q.one else p_ji))
-  in
+   replace the last equation by the normalisation row.  [rows.(j)] lists the
+   successors of local state [j] as (local index, probability). *)
+let solve_stationary_system rows =
+  let n = Array.length rows in
+  let a = Array.init n (fun i -> Array.init n (fun j -> if i = j then Q.neg Q.one else Q.zero)) in
+  Array.iteri (fun j row -> List.iter (fun (i, p) -> a.(i).(j) <- Q.add a.(i).(j) p) row) rows;
   let b = Array.make n Q.zero in
   for j = 0 to n - 1 do
     a.(n - 1).(j) <- Q.one
@@ -23,26 +21,22 @@ let exact chain =
   let scc = Scc.of_chain chain in
   if Scc.num_components scc <> 1 then
     raise (Chain.Chain_error "stationary: chain is not irreducible");
-  solve_stationary_system (Chain.num_states chain) (Chain.prob chain)
+  solve_stationary_system (Array.init (Chain.num_states chain) (Chain.succ chain))
 
 let exact_on_component chain members =
-  let members = List.sort Int.compare members in
-  let local = Array.of_list members in
-  let k = Array.length local in
-  let index_of = Hashtbl.create 16 in
-  Array.iteri (fun i s -> Hashtbl.replace index_of s i) local;
+  let local = Array.of_list (List.sort Int.compare members) in
+  let index_of = Array.make (Chain.num_states chain) (-1) in
+  Array.iteri (fun i s -> index_of.(s) <- i) local;
   (* Closedness check: all probability mass must stay inside. *)
-  List.iter
-    (fun s ->
-      List.iter
-        (fun (t, _) ->
-          if not (Hashtbl.mem index_of t) then
-            raise (Chain.Chain_error "stationary: component is not closed"))
-        (Chain.succ chain s))
-    members;
-  let prob i j = Chain.prob chain local.(i) local.(j) in
-  let pi = solve_stationary_system k prob in
-  List.mapi (fun i s -> (s, pi.(i))) members
+  let local_row s =
+    List.map
+      (fun (t, p) ->
+        if index_of.(t) < 0 then raise (Chain.Chain_error "stationary: component is not closed");
+        (index_of.(t), p))
+      (Chain.succ chain s)
+  in
+  let pi = solve_stationary_system (Array.map local_row local) in
+  Array.to_list (Array.mapi (fun i s -> (s, pi.(i))) local)
 
 let power_iteration ?(max_iter = 100_000) ?(tol = 1e-12) chain =
   let n = Chain.num_states chain in

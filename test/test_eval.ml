@@ -688,6 +688,44 @@ let test_engine_lumped_diagnostics () =
       Alcotest.(check bool) (k ^ " reported") true (List.mem_assoc k r.Engine.diagnostics))
     [ "chain states"; "lumped classes"; "lumped" ]
 
+(* Independent walkers on lazy directed cycles of the given sizes (the E4
+   product chain); the event puts walker 1 on its start node, so the exact
+   answer is 1 / (first size). *)
+let walkers_source sizes =
+  let b = Buffer.create 512 in
+  List.iteri
+    (fun i k ->
+      let w = i + 1 in
+      Buffer.add_string b
+        (Printf.sprintf "?C%d(Y) @W :- C%d(X), e%d(X, Y, W).\nC%d(n0).\n" w w w w);
+      List.iter
+        (fun { Workload.Graphs.src; dst; weight } ->
+          Buffer.add_string b
+            (Printf.sprintf "e%d(%s, %s, %d).\n" w (Workload.Graphs.node_name src)
+               (Workload.Graphs.node_name dst) weight))
+        (Workload.Graphs.cycle k))
+    sizes;
+  Buffer.add_string b "?- C1(n0).";
+  Buffer.contents b
+
+let test_engine_lumped_product () =
+  let r =
+    Engine.run ~semantics:Engine.Noninflationary ~method_:Engine.Exact_lumped
+      (parse (walkers_source [ 3; 3; 4 ]))
+  in
+  Alcotest.check q_t "1/3" (Q.of_ints 1 3) (Option.get r.Engine.exact);
+  Alcotest.(check (option string)) "chain states" (Some "36")
+    (List.assoc_opt "chain states" r.Engine.diagnostics);
+  Alcotest.(check (option string)) "lumped classes" (Some "3")
+    (List.assoc_opt "lumped classes" r.Engine.diagnostics)
+
+let test_engine_exact_product_4x4x4 () =
+  let r =
+    Engine.run ~semantics:Engine.Noninflationary ~method_:Engine.Exact
+      (parse (walkers_source [ 4; 4; 4 ]))
+  in
+  Alcotest.check q_t "1/4" (Q.of_ints 1 4) (Option.get r.Engine.exact)
+
 let test_engine_plan_vs_interpreted () =
   (* The plan flag is pure mechanism: every engine gives the same exact
      rational, and every sampler the same fixed-seed estimate. *)
@@ -898,6 +936,8 @@ let () =
           Alcotest.test_case "missing event" `Quick test_engine_missing_event;
           Alcotest.test_case "lumped diagnostics (analyse)" `Quick test_analyse_lumped_diagnostics;
           Alcotest.test_case "lumped diagnostics (engine)" `Quick test_engine_lumped_diagnostics;
+          Alcotest.test_case "lumped 3x3x4 product (engine)" `Quick test_engine_lumped_product;
+          Alcotest.test_case "exact 4x4x4 product (engine)" `Quick test_engine_exact_product_4x4x4;
           Alcotest.test_case "plan vs interpreted" `Slow test_engine_plan_vs_interpreted;
           Alcotest.test_case "time-average burn-in" `Quick test_time_average_burn_in;
           Alcotest.test_case "time-average via engine" `Quick test_engine_time_average;

@@ -121,6 +121,61 @@ let test_linalg_solve_permutation () =
     Alcotest.check q_t "y" (Q.of_int 5) x.(1)
   | None -> Alcotest.fail "singular"
 
+(* Differential test: random square systems, biased towards the cases an
+   elimination can get wrong — zero leading pivots, zero rows, dependent
+   rows and columns, zero right-hand sides and negative entries. *)
+let arb_system =
+  let gen =
+    QCheck.Gen.(
+      let* n = int_range 1 12 in
+      let* density = oneofl [ 0.3; 0.6; 1.0 ] in
+      let entry =
+        let* z = float_bound_inclusive 1.0 in
+        if z > density then return Q.zero
+        else
+          let* num = int_range (-9) 9 in
+          let* den = int_range 1 6 in
+          return (Q.of_ints num den)
+      in
+      let* a = array_repeat n (array_repeat n entry) in
+      let* b = array_repeat n entry in
+      let* shape = int_range 0 8 in
+      let* i = int_range 0 (n - 1) in
+      let* j = int_range 0 (n - 1) in
+      let* c = map (fun k -> Q.of_ints k 3) (int_range (-4) 4) in
+      let j = if j = i then (i + 1) mod n else j in
+      (match shape with
+       | 1 -> a.(i) <- Array.make n Q.zero
+       | 2 when n > 1 -> a.(i) <- Array.map (Q.mul c) a.(j)
+       | 3 -> Array.iteri (fun r row -> if r <= i then row.(r) <- Q.zero) a
+       | 4 -> Array.fill b 0 n Q.zero
+       | 5 when n > 1 -> Array.iter (fun row -> row.(i) <- Q.mul c row.(j)) a
+       | _ -> ());
+      return (a, b))
+  in
+  let print (a, b) =
+    String.concat "\n"
+      (Array.to_list
+         (Array.mapi
+            (fun r row ->
+              String.concat " " (Array.to_list (Array.map Q.to_string row))
+              ^ " | " ^ Q.to_string b.(r))
+            a))
+  in
+  QCheck.make ~print gen
+
+let prop_linalg_matches_gauss_jordan =
+  QCheck.Test.make ~name:"solve = Gauss-Jordan reference, a x = b, inputs kept" ~count:400
+    arb_system (fun (a, b) ->
+      let a0 = Array.map Array.copy a and b0 = Array.copy b in
+      let got = Linalg.solve a b in
+      let kept = a = a0 && b = b0 in
+      match (got, Gauss_jordan.solve a b) with
+      | None, None -> kept
+      | Some x, Some y ->
+        kept && Array.for_all2 Q.equal x y && Array.for_all2 Q.equal (Linalg.mat_vec a x) b
+      | _ -> false)
+
 let test_stationary_exact () =
   let pi = Stationary.exact two_state in
   Alcotest.check q_t "pi0 = 1/3" (q 1 3) pi.(0);
@@ -166,6 +221,32 @@ let test_absorption_gambler () =
   let probs = Absorption.into_closed gambler ~start:1 in
   List.iter (fun (_, p) -> Alcotest.check q_t "ruin half" Q.half p) probs;
   Alcotest.check q_t "sums to one" Q.one (Q.sum (List.map snd probs))
+
+(* Gambler's ruin on 0..n with absorbing ends: from i the walk is absorbed
+   at n with probability i/n after i(n-i) expected steps. *)
+let test_gambler_ruin_closed_forms () =
+  let n = 300 in
+  let rows =
+    Array.init (n + 1) (fun i ->
+        if i = 0 || i = n then [ (i, Q.one) ] else [ (i - 1, Q.half); (i + 1, Q.half) ])
+  in
+  let chain = Chain.of_rows (Array.init (n + 1) Fun.id) rows in
+  let top = (Scc.of_chain chain).Scc.component_of.(n) in
+  List.iter
+    (fun i ->
+      Alcotest.check q_t
+        (Printf.sprintf "absorbed at %d from %d" n i)
+        (q i n)
+        (List.assoc top (Absorption.into_closed chain ~start:i)))
+    [ 1; 37; 150; 299 ];
+  let h = Hitting.expected_steps chain ~targets:[ 0; n ] in
+  Array.iteri
+    (fun i hi ->
+      Alcotest.(check (option q_t))
+        (Printf.sprintf "steps from %d" i)
+        (Some (Q.of_int (i * (n - i))))
+        hi)
+    h
 
 let test_absorption_from_closed_state () =
   let probs = Absorption.into_closed absorbing ~start:1 in
@@ -410,6 +491,28 @@ let test_lump_heterogeneous_not_merged () =
   Alcotest.check q_t "event mass matches direct" (q_of_ints 2 3)
     (Lumping.stationary_event_mass two_state ~event:(fun s -> s = 1))
 
+let test_lump_product_coarsest () =
+  (* Two independent lazy directed 3-cycles, event on walker 1: the
+     coarsest lumpable partition is walker 1's position, 3 classes. *)
+  let state x y = (3 * x) + y in
+  let rows =
+    Array.init 9 (fun s ->
+        let x = s / 3 and y = s mod 3 in
+        let quarter = q 1 4 in
+        List.concat_map
+          (fun x' -> List.map (fun y' -> (state x' y', quarter)) [ y; (y + 1) mod 3 ])
+          [ x; (x + 1) mod 3 ])
+  in
+  let chain = Chain.of_rows (Array.init 9 Fun.id) rows in
+  let event s = s / 3 = 0 in
+  let r = Lumping.lump ~initial:(fun s -> if event s then 1 else 0) chain in
+  Alcotest.(check int) "3 classes" 3 r.Lumping.num_classes;
+  Alcotest.(check bool) "classes follow walker 1" true
+    (List.for_all
+       (fun s -> r.Lumping.class_of.(s) = r.Lumping.class_of.(state (s / 3) 0))
+       (List.init 9 Fun.id));
+  Alcotest.check q_t "event mass = 1/3" (q 1 3) (Lumping.stationary_event_mass chain ~event)
+
 let prop_lumping_matches_direct =
   QCheck.Test.make ~name:"lumped stationary event mass = direct" ~count:40 arb_chain (fun c ->
       let pi = Stationary.exact c in
@@ -529,7 +632,8 @@ let () =
       ("classify", [ Alcotest.test_case "classification" `Quick test_classify ]);
       ( "linalg",
         [ Alcotest.test_case "solve" `Quick test_linalg_solve;
-          Alcotest.test_case "solve with pivoting" `Quick test_linalg_solve_permutation
+          Alcotest.test_case "solve with pivoting" `Quick test_linalg_solve_permutation;
+          QCheck_alcotest.to_alcotest prop_linalg_matches_gauss_jordan
         ] );
       ( "stationary",
         [ Alcotest.test_case "exact" `Quick test_stationary_exact;
@@ -541,7 +645,8 @@ let () =
       ( "absorption",
         [ Alcotest.test_case "two sinks" `Quick test_absorption;
           Alcotest.test_case "gambler" `Quick test_absorption_gambler;
-          Alcotest.test_case "from closed state" `Quick test_absorption_from_closed_state
+          Alcotest.test_case "from closed state" `Quick test_absorption_from_closed_state;
+          Alcotest.test_case "gambler's ruin closed forms" `Quick test_gambler_ruin_closed_forms
         ] );
       ( "mixing",
         [ Alcotest.test_case "evolve" `Quick test_mixing_evolve;
@@ -570,6 +675,7 @@ let () =
         [ Alcotest.test_case "symmetric cycle" `Quick test_lump_symmetric_cycle;
           Alcotest.test_case "trivial labelling" `Quick test_lump_trivial_labelling;
           Alcotest.test_case "heterogeneous split" `Quick test_lump_heterogeneous_not_merged;
+          Alcotest.test_case "product chain coarsest" `Quick test_lump_product_coarsest;
           QCheck_alcotest.to_alcotest prop_lumping_matches_direct
         ] );
       ( "chain-io",
