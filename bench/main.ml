@@ -21,6 +21,10 @@ let time_ms f =
 let header id title =
   Format.printf "@.=== %s: %s ===@." id title
 
+(* Fraction of a sampler run's trials that hit. *)
+let estimate (r : Eval.Pool.run) =
+  float_of_int r.Eval.Pool.hits /. float_of_int r.Eval.Pool.completed
+
 (* --- shared workload builders ------------------------------------------ *)
 
 let inflationary_of parsed db =
@@ -96,7 +100,8 @@ let e2 () =
       in
       let est, ms =
         time_ms (fun () ->
-            Eval.Sample_inflationary.eval ~init_sampler:sampler ~samples:500 rng q Database.empty)
+            estimate
+              (Eval.Sample_inflationary.run_samples ~init_sampler:sampler ~samples:500 rng q Database.empty))
       in
       Format.printf "%6d %10d %12.4f %10.2f@." n 500 est ms)
     [ 5; 10; 20; 40; 80 ];
@@ -109,7 +114,10 @@ let e2 () =
   let q = Lang.Inflationary.of_forever_unchecked (Lang.Forever.make ~kernel ~event) in
   List.iter
     (fun m ->
-      let est = Eval.Sample_inflationary.eval ~init_sampler:sampler ~samples:m rng q Database.empty in
+      let est =
+        estimate
+          (Eval.Sample_inflationary.run_samples ~init_sampler:sampler ~samples:m rng q Database.empty)
+      in
       Format.printf "%8d %12.4f %12.4f@." m est (abs_float (est -. 0.125)))
     [ 100; 1_000; 10_000 ];
   Format.printf "shape: error shrinks like 1/sqrt(m); runtime is linear in n and m.@."
@@ -137,7 +145,8 @@ let e3 () =
       let kernel, _ = Lang.Compile.inflationary_kernel program (sampler rng') in
       let q = Lang.Inflationary.of_forever_unchecked (Lang.Forever.make ~kernel ~event) in
       let est =
-        Eval.Sample_inflationary.eval ~init_sampler:sampler ~samples:200 rng' q Database.empty
+        estimate
+          (Eval.Sample_inflationary.run_samples ~init_sampler:sampler ~samples:200 rng' q Database.empty)
       in
       let verdict =
         if Q.is_zero truth then (if est = 0.0 then "ok (both 0)" else "false positive")
@@ -218,7 +227,8 @@ let e5 () =
           | Some t ->
             let rng = Random.State.make [| k |] in
             let est, ms =
-              time_ms (fun () -> Eval.Sample_noninflationary.eval rng ~burn_in:t ~samples:500 q init)
+              time_ms (fun () ->
+                  estimate (Eval.Sample_noninflationary.run_samples rng ~burn_in:t ~samples:500 q init))
             in
             let states =
               Markov.Chain.num_states (Eval.Exact_noninflationary.build_chain q init)
@@ -250,7 +260,9 @@ let e6 () =
       let q = Lang.Forever.make ~kernel ~event in
       let rng' = Random.State.make [| 6 |] in
       let burn = 20 * (f.Reductions.Cnf.num_vars + List.length f.Reductions.Cnf.clauses) in
-      let est = Eval.Sample_noninflationary.eval rng' ~burn_in:burn ~samples:200 q init in
+      let est =
+        estimate (Eval.Sample_noninflationary.run_samples rng' ~burn_in:burn ~samples:200 q init)
+      in
       Format.printf "%-22s %6b %14.3f %12s@." label (Reductions.Dpll.is_satisfiable f) est
         (Q.to_string (Reductions.Encode_noninflationary.expected_probability f)))
     instances;
@@ -416,7 +428,7 @@ let e10 () =
       let q, init = inflationary_of parsed db in
       let exact = Eval.Exact_inflationary.eval q init in
       let rng = Random.State.make [| d |] in
-      let sampled = Eval.Sample_inflationary.eval ~samples:2000 rng q init in
+      let sampled = estimate (Eval.Sample_inflationary.run_samples ~samples:2000 rng q init) in
       Format.printf "%4d %12s %12s %12.4f@." d (Q.to_string exact)
         (Q.to_string (Q.pow Q.half d)) sampled)
     [ 1; 2; 3; 4 ]
@@ -478,42 +490,6 @@ let e12 () =
       Format.printf "%8d %8d %10d %10b@." (Relation.cardinal r) groups formula
         (formula = enumerated))
     [ (2, 2); (3, 2); (3, 3); (4, 3) ]
-
-(* --- E13: algebraic optimisation ablation -------------------------------- *)
-
-let e13 () =
-  header "E13" "kernel optimisation ablation (the paper's future-work optimisations)";
-  Format.printf "exact non-inflationary walks on random graphs, raw vs optimised kernels@.";
-  Format.printf "%6s %12s %12s %10s %8s@." "nodes" "raw ms" "opt ms" "speedup" "agree";
-  List.iter
-    (fun k ->
-      let rng = Random.State.make [| k |] in
-      let edges = Workload.Graphs.random rng ~nodes:k ~out_degree:3 ~max_weight:4 in
-      let parsed = Lang.Parser.parse (Workload.Graphs.walk_source ~target:0) in
-      let db = Workload.Graphs.walk_database edges ~start:0 in
-      let program = parsed.Lang.Parser.program in
-      let event = Option.get parsed.Lang.Parser.event in
-      let kernel, init = Lang.Compile.noninflationary_kernel program db in
-      let schema_of name = Relation.columns (Database.find name init) in
-      let kernel_opt = Prob.Optimize.interp ~schema_of kernel in
-      let q = Lang.Forever.make ~kernel ~event in
-      let q_opt = Lang.Forever.make ~kernel:kernel_opt ~event in
-      (* Average over a few repetitions to stabilise small timings. *)
-      let reps = 5 in
-      let timed q =
-        let r = ref Q.zero in
-        let _, ms = time_ms (fun () -> for _ = 1 to reps do r := Eval.Exact_noninflationary.eval q init done) in
-        (!r, ms /. float_of_int reps)
-      in
-      let raw, raw_ms = timed q in
-      let opt, opt_ms = timed q_opt in
-      Bench_json.record ~id:"E13/kernel-raw" ~n:k ~ms:raw_ms;
-      Bench_json.record ~id:"E13/kernel-optimised" ~n:k ~ms:opt_ms;
-      Format.printf "%6d %12.2f %12.2f %9.2fx %8b@." k raw_ms opt_ms (raw_ms /. opt_ms)
-        (Q.equal raw opt))
-    [ 6; 10; 14; 18 ];
-  Format.printf "shape: identical exact answers; selection pushdown + column pruning pay off@.";
-  Format.printf "as the edge relation grows.@."
 
 (* --- E14: conductance brackets the measured mixing time ------------------- *)
 
@@ -841,7 +817,8 @@ let e19 () =
         let rng = Random.State.make [| 42 |] in
         let est, ms =
           time_ms (fun () ->
-              Eval.Sample_noninflationary.eval_par rng ~domains:d ~burn_in:40 ~samples q init)
+              estimate
+                (Eval.Sample_noninflationary.run_samples rng ~domains:d ~burn_in:40 ~samples q init))
         in
         Bench_json.record ~id:"E19/sample-throughput-domains" ~n:d ~ms;
         Format.printf "%8d %10.2f %12.0f %12.4f@." d ms (float_of_int samples /. ms *. 1000.0) est;
@@ -935,7 +912,7 @@ let e20 () =
   let sample query =
     best_of 2 (fun () ->
         let rng = Random.State.make [| 42 |] in
-        Eval.Sample_noninflationary.eval rng ~burn_in:40 ~samples query init)
+        estimate (Eval.Sample_noninflationary.run_samples rng ~burn_in:40 ~samples query init))
   in
   let ei, ims = sample q in
   let ec, cms = sample qc in
@@ -1024,7 +1001,7 @@ let e21 () =
    let run () =
      let qc = Lang.Forever.compile ~schema_of:(Lang.Compile.schema_of_database init) q in
      let rng = Random.State.make [| 42 |] in
-     Eval.Sample_noninflationary.eval rng ~burn_in:40 ~samples qc init
+     estimate (Eval.Sample_noninflationary.run_samples rng ~burn_in:40 ~samples qc init)
    in
    let eo, mso, eon, mson = measure 4 run in
    assert (eo = eon);
@@ -1112,7 +1089,7 @@ let e22 () =
    let run () =
      let qc = Lang.Forever.compile ~schema_of:(Lang.Compile.schema_of_database init) q in
      let rng = Random.State.make [| 42 |] in
-     Eval.Sample_noninflationary.eval rng ~burn_in:40 ~samples qc init
+     estimate (Eval.Sample_noninflationary.run_samples rng ~burn_in:40 ~samples qc init)
    in
    let eo, mso, eon, mson = measure 4 run in
    assert (eo = eon);
@@ -1434,7 +1411,8 @@ let e25 () =
    let q, init = noninflationary_of parsed db in
    let rng = Random.State.make [| 7 |] in
    let est, ms =
-     time_ms (fun () -> Eval.Sample_noninflationary.eval rng ~burn_in:50 ~samples:2000 q init)
+     time_ms (fun () ->
+         estimate (Eval.Sample_noninflationary.run_samples rng ~burn_in:50 ~samples:2000 q init))
    in
    Bench_json.record ~id:"E25/e5-macro" ~n:2000 ~ms;
    Format.printf "e5-macro: barbell-3 sampling (2000 samples) est %.4f in %.2f ms@." est ms);
@@ -1890,7 +1868,8 @@ let bechamel_tests () =
     let q = Lang.Inflationary.of_forever_unchecked (Lang.Forever.make ~kernel ~event) in
     Test.make ~name:"E2/sample-inflationary-n20-m50"
       (Staged.stage (fun () ->
-           Eval.Sample_inflationary.eval ~init_sampler:sampler ~samples:50 rng q Database.empty))
+           estimate
+             (Eval.Sample_inflationary.run_samples ~init_sampler:sampler ~samples:50 rng q Database.empty)))
   in
   let e3_test =
     let f = Reductions.Cnf.make ~num_vars:4 (List.init 4 (fun i -> [ Reductions.Cnf.pos (i + 1) ])) in
@@ -1911,7 +1890,8 @@ let bechamel_tests () =
     let q, init = noninflationary_of parsed db in
     let rng = Random.State.make [| 2 |] in
     Test.make ~name:"E5/sample-noninflationary-barbell3"
-      (Staged.stage (fun () -> Eval.Sample_noninflationary.eval rng ~burn_in:40 ~samples:50 q init))
+      (Staged.stage (fun () ->
+           estimate (Eval.Sample_noninflationary.run_samples rng ~burn_in:40 ~samples:50 q init)))
   in
   let e6_test =
     let f = Reductions.Cnf.random3 (Random.State.make [| 4 |]) ~num_vars:4 ~num_clauses:5 in
@@ -1920,7 +1900,8 @@ let bechamel_tests () =
     let q = Lang.Forever.make ~kernel ~event in
     let rng = Random.State.make [| 5 |] in
     Test.make ~name:"E6/thm51-sample-n4"
-      (Staged.stage (fun () -> Eval.Sample_noninflationary.eval rng ~burn_in:40 ~samples:20 q init))
+      (Staged.stage (fun () ->
+           estimate (Eval.Sample_noninflationary.run_samples rng ~burn_in:40 ~samples:20 q init)))
   in
   let e7_test =
     let parsed = Lang.Parser.parse (multi_walker_source [ 3; 4 ]) in
@@ -1970,18 +1951,6 @@ let bechamel_tests () =
     Test.make ~name:"E12/repair-key-basketball"
       (Staged.stage (fun () -> Prob.Repair_key.repair ~key:[ "Player" ] ~weight:"Belief" players))
   in
-  let e13_test =
-    let rng = Random.State.make [| 10 |] in
-    let edges = Workload.Graphs.random rng ~nodes:8 ~out_degree:3 ~max_weight:4 in
-    let parsed = Lang.Parser.parse (Workload.Graphs.walk_source ~target:0) in
-    let db = Workload.Graphs.walk_database edges ~start:0 in
-    let kernel, init = Lang.Compile.noninflationary_kernel parsed.Lang.Parser.program db in
-    let schema_of name = Relation.columns (Database.find name init) in
-    let kernel = Prob.Optimize.interp ~schema_of kernel in
-    let q = Lang.Forever.make ~kernel ~event:(Option.get parsed.Lang.Parser.event) in
-    Test.make ~name:"E13/optimised-walk-8"
-      (Staged.stage (fun () -> Eval.Exact_noninflationary.eval q init))
-  in
   let e14_test =
     let parsed = Lang.Parser.parse (Workload.Graphs.walk_source ~target:0) in
     let db = Workload.Graphs.walk_database (Workload.Graphs.barbell 2) ~start:0 in
@@ -2016,7 +1985,7 @@ let bechamel_tests () =
       (Staged.stage (fun () -> Eval.Exact_noninflationary.eval q db))
   in
   [ e1_test; e2_test; e3_test; e4_test; e5_test; e6_test; e7_test; e8_test; e10_test; e11_test;
-    e12_test; e13_test; e14_test; e15_test; e16_test
+    e12_test; e14_test; e15_test; e16_test
   ]
 
 let run_bechamel () =
@@ -2049,7 +2018,7 @@ let run_bechamel () =
 
 let experiments =
   [ ("E1", e1); ("E2", e2); ("E3", e3); ("E4", e4); ("E5", e5); ("E6", e6); ("E7", e7);
-    ("E8", e8); ("E9", e9); ("E10", e10); ("E11", e11); ("E12", e12); ("E13", e13);
+    ("E8", e8); ("E9", e9); ("E10", e10); ("E11", e11); ("E12", e12);
     ("E14", e14); ("E15", e15); ("E16", e16); ("E17", e17); ("E18", e18); ("E19", e19);
     ("E20", e20); ("E21", e21); ("E22", e22); ("E23", e23); ("E24", e24); ("E25", e25);
     ("E26", e26); ("E27", e27); ("E28", e28)

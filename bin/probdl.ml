@@ -52,28 +52,6 @@ let delta_arg = Arg.(value & opt float 0.05 & info [ "delta" ] ~doc:"Failure pro
 let burn_in_arg =
   Arg.(value & opt int 200 & info [ "burn-in" ] ~doc:"Walk length per sample (non-inflationary sampling).")
 let seed_arg = Arg.(value & opt int 0 & info [ "seed" ] ~doc:"Random seed.")
-let optimize_arg =
-  Arg.(value & flag & info [ "O"; "optimize" ] ~doc:"Apply algebraic kernel optimisation.")
-
-let interpreted_arg =
-  Arg.(
-    value
-    & flag
-    & info [ "interpreted" ]
-        ~doc:
-          "Interpret the kernel AST every step instead of executing compiled physical plans \
-           (ablation baseline; answers are identical either way).")
-
-let naive_arg =
-  Arg.(
-    value
-    & flag
-    & info [ "naive" ]
-        ~doc:
-          "Step exact inflationary fixpoints naively — re-evaluate every rule body against \
-           the whole state each step — instead of through semi-naive delta plans (ablation \
-           baseline; answers and visited states are identical either way).")
-
 let magic_arg =
   Arg.(
     value
@@ -97,8 +75,8 @@ let domains_arg =
     & info [ "j"; "domains" ]
         ~docv:"N"
         ~doc:
-          "Shard sampling across $(docv) OCaml domains (0 = all cores). Fixed-seed estimates \
-           are identical for any N >= 1; omit for the legacy sequential sampler.")
+          "Shard sampling across $(docv) OCaml domains (default 1; 0 = all cores; never more \
+           than the machine has). Fixed-seed estimates are identical for any N >= 1.")
 
 let steps_arg =
   Arg.(
@@ -157,8 +135,7 @@ let checkpoint_arg =
         ~doc:
           "Periodically save per-shard sampler state to $(docv) (schema probdb.ckpt/1); a \
            later --resume run continues from it with a bit-identical final estimate. \
-           Sampling methods only; forces the sharded sampler (--domains 1) when --domains \
-           is not given.")
+           Sampling methods only.")
 
 let resume_arg =
   Arg.(
@@ -212,11 +189,9 @@ let progress_arg =
            states, running estimate ± its confidence half-width.")
 
 let run_cmd =
-  let run path semantics method_ eps delta burn_in steps seed max_states max_steps optimize
-      interpreted naive magic domains deadline_ms state_budget sample_budget on_budget
-      checkpoint resume stats stats_json trace_file series_file progress =
-    let plan = not interpreted in
-    let strategy = if naive then Eval.Engine.Naive else Eval.Engine.Semi_naive in
+  let run path semantics method_ eps delta burn_in steps seed max_states max_steps magic domains
+      deadline_ms state_budget sample_budget on_budget checkpoint resume stats stats_json
+      trace_file series_file progress =
     let stats = stats || stats_json in
     let trace_on = trace_file <> None in
     let series_on = trace_on || series_file <> None || progress in
@@ -307,7 +282,7 @@ let run_cmd =
         code
       in
       let run_one parsed =
-        Eval.Engine.run ~seed ~max_states ?max_steps ~optimize ~plan ~strategy ~magic ?domains
+        Eval.Engine.run ~seed ~max_states ?max_steps ~magic ?domains
           ~guard ~on_budget ?ckpt ~stats ~trace:trace_on ~series:series_on ~semantics ~method_
           parsed
       in
@@ -354,8 +329,7 @@ let run_cmd =
                   (Lang.Parser.database_of_facts parsed.Lang.Parser.facts)
             in
             let results =
-              Eval.Exact_noninflationary.eval_events ~max_states ~guard ~plan ~kernel ~events
-                init
+              Eval.Exact_noninflationary.eval_events ~max_states ~guard ~kernel ~events init
             in
             Format.printf "%-30s %-20s %s@." "event" "exact" "~float";
             List.iter
@@ -399,8 +373,7 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
       const run $ program_arg $ semantics_arg $ method_arg $ eps_arg $ delta_arg $ burn_in_arg
-      $ steps_arg $ seed_arg $ max_states_arg $ max_steps_arg $ optimize_arg $ interpreted_arg
-      $ naive_arg $ magic_arg $ domains_arg $ deadline_arg $ state_budget_arg $ sample_budget_arg $ on_budget_arg
+      $ steps_arg $ seed_arg $ max_states_arg $ max_steps_arg $ magic_arg $ domains_arg $ deadline_arg $ state_budget_arg $ sample_budget_arg $ on_budget_arg
       $ checkpoint_arg $ resume_arg $ stats_arg $ stats_json_arg $ trace_arg $ series_json_arg
       $ progress_arg)
 

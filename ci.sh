@@ -1,10 +1,10 @@
 #!/bin/sh
-# Continuous-integration entry point: full build + test suite, the
-# perfbench self-test, then a CLI
-# smoke pass over every example program in both execution modes (compiled
-# physical plans, the default, and --interpreted, the AST-walking ablation
-# baseline) asserting identical answers, plus a probmc estimate smoke on
-# the example chain files.
+# Continuous-integration entry point: full build + test suite (which
+# checks every example program's engine answer against the uncompiled
+# reference kernel), the perfbench self-test, then a CLI smoke pass over
+# every example program with and without the --magic rewrite asserting
+# identical answers, plus a probmc estimate smoke on the example chain
+# files.
 set -eu
 
 cd "$(dirname "$0")"
@@ -32,27 +32,11 @@ semantics_of () {
   esac
 }
 
-echo "== probdl smoke: plans vs interpreted =="
-for prog in examples/programs/*.pdl; do
-  sem=$(semantics_of "$prog")
-  planned=$("$PROBDL" run "$prog" -s "$sem" --seed 7)
-  interpreted=$("$PROBDL" run "$prog" -s "$sem" --seed 7 --interpreted)
-  # Only the plan diagnostic row may differ between the two modes.
-  if [ "$(printf '%s\n' "$planned" | grep -v '^plan')" != \
-       "$(printf '%s\n' "$interpreted" | grep -v '^plan')" ]; then
-    echo "MISMATCH between compiled and interpreted on $prog" >&2
-    printf '%s\n--- vs ---\n%s\n' "$planned" "$interpreted" >&2
-    exit 1
-  fi
-  echo "ok: $prog ($sem)"
-done
-
-echo "== probdl smoke: evaluation strategies =="
-# The three fixpoint strategies — --naive saturating steps, the default
-# semi-naive deltas, and --magic demand rewriting — must agree on every
-# answer for every example program.  Only the strategy diagnostics rows
-# (plan strategy, magic stats, visited-state counts) and the structural
-# rows describing the possibly-rewritten program may differ.
+echo "== probdl smoke: magic-sets rewrite =="
+# The --magic demand rewrite must not change any answer of any example
+# program.  Only the diagnostics rows (plan strategy, magic stats,
+# visited-state counts) and the structural rows describing the
+# possibly-rewritten program may differ.
 strategy_answer () {
   "$PROBDL" run "$2" -s "$3" --seed 7 $1 \
     | grep -vE '^(plan|magic|states visited|fixpoints|rules|linear|repair-key)'
@@ -60,14 +44,13 @@ strategy_answer () {
 for prog in examples/programs/*.pdl; do
   sem=$(semantics_of "$prog")
   default=$(strategy_answer "" "$prog" "$sem")
-  naive=$(strategy_answer "--naive" "$prog" "$sem")
   magic=$(strategy_answer "--magic" "$prog" "$sem")
-  if [ "$default" != "$naive" ] || [ "$default" != "$magic" ]; then
-    echo "STRATEGY MISMATCH on $prog" >&2
-    printf 'default:\n%s\n--naive:\n%s\n--magic:\n%s\n' "$default" "$naive" "$magic" >&2
+  if [ "$default" != "$magic" ]; then
+    echo "MAGIC MISMATCH on $prog" >&2
+    printf 'default:\n%s\n--magic:\n%s\n' "$default" "$magic" >&2
     exit 1
   fi
-  echo "ok: $prog ($sem) default/--naive/--magic agree"
+  echo "ok: $prog ($sem) default/--magic agree"
 done
 
 echo "== probmc smoke =="

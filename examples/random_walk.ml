@@ -85,7 +85,8 @@ let () =
     | Some t -> t
     | None -> 100
   in
-  let sampled = Eval.Sample_noninflationary.eval rng ~burn_in ~samples:20_000 query_dl init_dl in
+  let r = Eval.Sample_noninflationary.run_samples rng ~burn_in ~samples:20_000 query_dl init_dl in
+  let sampled = float_of_int r.Eval.Pool.hits /. float_of_int r.Eval.Pool.completed in
   Format.printf "mixing time    : %d steps (eps = 0.01)@." burn_in;
   Format.printf "sampled answer : %.4f (20000 restarts of %d steps, Thm 5.6)@." sampled burn_in;
   Format.printf "|exact - sampled| = %.4f@." (abs_float (Q.to_float exact -. sampled))

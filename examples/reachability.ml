@@ -65,7 +65,8 @@ let () =
       let pa = Eval.Exact_inflationary.eval qa ia in
       let pd = Eval.Exact_inflationary.eval qd id_ in
       let rng = Random.State.make [| 42 |] in
-      let ps = Eval.Sample_inflationary.eval ~samples:20_000 rng qd id_ in
+      let r = Eval.Sample_inflationary.run_samples ~samples:20_000 rng qd id_ in
+      let ps = float_of_int r.Eval.Pool.hits /. float_of_int r.Eval.Pool.completed in
       Format.printf "%-8s %-23s %-23s %.4f@." target (Q.to_string pa) (Q.to_string pd) ps)
     [ "v"; "w"; "u"; "t" ];
   Format.printf "@.expected: w with 1/4 (weight 1 of 4), u with 3/4, t with 1/4 (via w).@.";

@@ -25,7 +25,8 @@ let show_noninflationary f label =
   let kernel, init = Lang.Compile.noninflationary_kernel program db in
   let q = Lang.Forever.make ~kernel ~event in
   let rng = Random.State.make [| 1 |] in
-  let estimate = Eval.Sample_noninflationary.eval rng ~burn_in:50 ~samples:400 q init in
+  let r = Eval.Sample_noninflationary.run_samples rng ~burn_in:50 ~samples:400 q init in
+  let estimate = float_of_int r.Eval.Pool.hits /. float_of_int r.Eval.Pool.completed in
   let satisfiable = Dpll.is_satisfiable f in
   Format.printf "  %-12s satisfiable = %-5b sampled Pr[Done] = %.3f (expected %s)@." label
     satisfiable estimate

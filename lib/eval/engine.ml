@@ -4,10 +4,6 @@ type semantics =
   | Inflationary
   | Noninflationary
 
-type strategy =
-  | Naive
-  | Semi_naive
-
 type method_ =
   | Exact
   | Exact_partitioned
@@ -129,7 +125,7 @@ type exec_env = {
   rng : Random.State.t;
   env_max_states : int option;
   env_max_steps : int option;
-  env_domains : int option;
+  env_domains : int;
   env_guard : Guard.t;
   env_on_budget : budget_policy;
   env_ckpt : Pool.ckpt option;
@@ -141,8 +137,21 @@ type prepared = {
   prep_exec : exec_env -> report;
 }
 
-let prepare ?(optimize = false) ?(plan = true) ?(strategy = Semi_naive)
-    ?(magic = false) ~semantics ~method_ (parsed : Lang.Parser.parsed) =
+(* The sampling parameters' domains, checked before any work starts: a
+   negative burn-in would walk forever between two guard polls, and the
+   Hoeffding sample count is undefined outside (0, 1). *)
+let check_sampling ~eps ~delta ~burn_in =
+  if not (eps > 0.0 && eps < 1.0) then err "eps must lie in (0, 1), got %g" eps;
+  if not (delta > 0.0 && delta < 1.0) then err "delta must lie in (0, 1), got %g" delta;
+  if burn_in < 0 then err "burn-in must be non-negative, got %d" burn_in
+
+let prepare ?(magic = false) ~semantics ~method_ (parsed : Lang.Parser.parsed) =
+  (match method_ with
+   | Sampling { eps; delta; burn_in } -> check_sampling ~eps ~delta ~burn_in
+   | Time_average { steps; burn_in } ->
+     if steps <= 0 then err "steps must be positive, got %d" steps;
+     if burn_in < 0 then err "burn-in must be non-negative, got %d" burn_in
+   | Exact | Exact_partitioned | Exact_lumped -> ());
   let event =
     match parsed.Lang.Parser.event with
     | Some e -> e
@@ -167,74 +176,37 @@ let prepare ?(optimize = false) ?(plan = true) ?(strategy = Semi_naive)
   in
   let ctable = Lang.Parser.ctable_of parsed in
   let db = Lang.Parser.database_of_facts parsed.Lang.Parser.facts in
-  let maybe_optimize kernel init =
-    if not optimize then kernel
-    else
-      Prob.Optimize.interp ~schema_of:(Lang.Compile.schema_of_database init) kernel
-  in
-  (* Compile the (already optimised) kernel to physical plans against the
-     initial database's schemas; stepping is then plan execution.  The
-     results — exact distributions and fixed-seed samples alike — are
-     identical to the interpreted kernel's. *)
+  (* Compile the kernel to physical plans against the initial database's
+     schemas; stepping is then plan execution. *)
   let compile_query init query =
-    if not plan then query
-    else
-      Obs.phase "compile" (fun () ->
-          Lang.Forever.compile ~schema_of:(Lang.Compile.schema_of_database init) query)
+    Obs.phase "compile" (fun () ->
+        Lang.Forever.compile ~schema_of:(Lang.Compile.schema_of_database init) query)
   in
-  (* The semi-naive stepper is itself built from compiled delta plans, so
-     it only applies to plan-executing runs — [--interpreted] implies the
-     naive stepper, as does [--naive]. *)
-  let effective_strategy = if plan then strategy else Naive in
   let install_seminaive init query =
-    match effective_strategy with
-    | Naive -> (query, [ ("plan strategy", "naive") ])
-    | Semi_naive ->
-      Obs.phase "compile" (fun () ->
-          let sn =
-            Lang.Seminaive.compile ~optimize
-              ~schema_of:(Lang.Compile.schema_of_database init) program
-          in
-          ( Lang.Seminaive.install sn query,
-            [ ( "plan strategy",
-                Printf.sprintf "semi-naive (%d/%d rule plans incremental)"
-                  (Lang.Seminaive.incremental_rules sn) (Lang.Seminaive.total_rules sn) )
-            ] ))
+    Obs.phase "compile" (fun () ->
+        let sn =
+          Lang.Seminaive.compile ~schema_of:(Lang.Compile.schema_of_database init) program
+        in
+        ( Lang.Seminaive.install sn query,
+          [ ( "plan strategy",
+              Printf.sprintf "semi-naive (%d/%d rule plans incremental)"
+                (Lang.Seminaive.incremental_rules sn) (Lang.Seminaive.total_rules sn) )
+          ] ))
   in
-  (* [domains = None] keeps the sequential samplers and their original RNG
-     streams (seed-compatible with earlier releases); [Some d] routes every
-     sampling method through the sharded parallel evaluators, whose result
-     for a fixed seed is the same for any [d] >= 1.  Checkpointing needs
-     the sharded path (per-shard RNG snapshots), so [ckpt] forces it at
-     [domains = 1] when no domain count was given. *)
   let sample_inflationary env ?init_sampler ~samples rng query init =
     Obs.phase "sample" @@ fun () ->
-    match (env.env_domains, env.env_ckpt) with
-    | None, None ->
-      Sample_inflationary.run_samples ?max_steps:env.env_max_steps ?init_sampler
-        ~guard:env.env_guard ~samples rng query init
-    | d, _ ->
-      let domains = match d with Some d -> d | None -> 1 in
-      Sample_inflationary.run_samples_par ?max_steps:env.env_max_steps ?init_sampler
-        ~guard:env.env_guard ?ckpt:env.env_ckpt ~domains ~samples rng query init
+    Sample_inflationary.run_samples ?max_steps:env.env_max_steps ?init_sampler
+      ~guard:env.env_guard ?ckpt:env.env_ckpt ~domains:env.env_domains ~samples rng query init
   in
   let sample_noninflationary env rng ~burn_in ~samples query init =
     Obs.phase "sample" @@ fun () ->
-    match (env.env_domains, env.env_ckpt) with
-    | None, None ->
-      Sample_noninflationary.run_samples ~guard:env.env_guard rng ~burn_in ~samples query init
-    | d, _ ->
-      let domains = match d with Some d -> d | None -> 1 in
-      Sample_noninflationary.run_samples_par ~guard:env.env_guard ?ckpt:env.env_ckpt rng
-        ~domains ~burn_in ~samples query init
+    Sample_noninflationary.run_samples ~guard:env.env_guard ?ckpt:env.env_ckpt
+      ~domains:env.env_domains rng ~burn_in ~samples query init
   in
-  let domain_diags env =
-    match env.env_domains with None -> [] | Some d -> [ ("domains", string_of_int d) ]
-  in
+  let domain_diags env = [ ("domains", string_of_int env.env_domains) ] in
   let base_diags =
     [ ("rules", string_of_int (List.length program));
       ("facts", string_of_int (List.length parsed.Lang.Parser.facts));
-      ("plan", string_of_bool plan);
       ("linear", string_of_bool (Lang.Linearity.is_linear program));
       ("repair-key on base only", string_of_bool (Lang.Linearity.repair_key_on_base_only program))
     ]
@@ -252,7 +224,7 @@ let prepare ?(optimize = false) ?(plan = true) ?(strategy = Semi_naive)
       downgrade;
     }
   in
-  (* A sampling run's report: complete when the pool/sequential loop ran
+  (* A sampling run's report: complete when the pool ran
      every requested sample, otherwise Partial carrying the best estimate
      so far with its Wilson 95% CI (the Thm 4.3 / Thm 5.6 guarantee only
      covers the full sample count, so the partial answer is reported as an
@@ -325,7 +297,6 @@ let prepare ?(optimize = false) ?(plan = true) ?(strategy = Semi_naive)
           | Some ct -> Lang.Compile.noninflationary_kernel_ctable program ct
           | None -> Lang.Compile.noninflationary_kernel program db
         in
-        let kernel = maybe_optimize kernel init in
         let query = compile_query init (Lang.Forever.make ~kernel ~event) in
         fun env ->
           let p =
@@ -337,16 +308,11 @@ let prepare ?(optimize = false) ?(plan = true) ?(strategy = Semi_naive)
       | Inflationary, Exact, Some ct -> begin
         (* pc-table input: choices are made once (Section 3.3), so average
            the per-world exact answers. *)
-        let seminaive = effective_strategy = Semi_naive in
-        let strat_diags =
-          [ ( "plan strategy",
-              if seminaive then "semi-naive (shared delta plan)" else "naive" )
-          ]
-        in
+        let strat_diags = [ ("plan strategy", "semi-naive (shared delta plan)") ] in
         fun env ->
           match
             Obs.phase "evaluate" (fun () ->
-                Exact_inflationary.eval_ctable ~guard:env.env_guard ~plan ~seminaive ~program
+                Exact_inflationary.eval_ctable ~guard:env.env_guard ~plan:true ~program
                   ~event ct)
           with
           | p ->
@@ -396,7 +362,6 @@ let prepare ?(optimize = false) ?(plan = true) ?(strategy = Semi_naive)
           | Some ct -> Lang.Compile.noninflationary_kernel_ctable program ct
           | None -> Lang.Compile.noninflationary_kernel program db
         in
-        let kernel = maybe_optimize kernel init in
         let query = compile_query init (Lang.Forever.make ~kernel ~event) in
         fun env ->
           match
@@ -422,7 +387,6 @@ let prepare ?(optimize = false) ?(plan = true) ?(strategy = Semi_naive)
           | Some ct -> Lang.Compile.noninflationary_kernel_ctable program ct
           | None -> Lang.Compile.noninflationary_kernel program db
         in
-        let kernel = maybe_optimize kernel init in
         let query = compile_query init (Lang.Forever.make ~kernel ~event) in
         let samples = Sample_inflationary.samples_needed ~eps ~delta in
         fun env ->
@@ -439,7 +403,6 @@ let prepare ?(optimize = false) ?(plan = true) ?(strategy = Semi_naive)
           | Some ct -> Lang.Compile.noninflationary_kernel_ctable program ct
           | None -> Lang.Compile.noninflationary_kernel program db
         in
-        let kernel = maybe_optimize kernel init in
         let query = compile_query init (Lang.Forever.make ~kernel ~event) in
         fun env ->
           match
@@ -461,7 +424,6 @@ let prepare ?(optimize = false) ?(plan = true) ?(strategy = Semi_naive)
       end
       | Inflationary, Exact, None -> begin
         let kernel, init = Lang.Compile.inflationary_kernel program db in
-        let kernel = maybe_optimize kernel init in
         let fq, strat_diags =
           install_seminaive init (compile_query init (Lang.Forever.make ~kernel ~event))
         in
@@ -486,7 +448,6 @@ let prepare ?(optimize = false) ?(plan = true) ?(strategy = Semi_naive)
       end
       | Inflationary, Sampling { eps; delta; _ }, None ->
         let kernel, init = Lang.Compile.inflationary_kernel program db in
-        let kernel = maybe_optimize kernel init in
         let query =
           Lang.Inflationary.of_forever_unchecked
             (compile_query init (Lang.Forever.make ~kernel ~event))
@@ -508,13 +469,15 @@ let prepare ?(optimize = false) ?(plan = true) ?(strategy = Semi_naive)
   in
   { prep_semantics = semantics; prep_method = method_; prep_exec = exec }
 
-(* Boundary for sampler divergence and worker failure: translated into
-   [Engine_error]s that carry where the failure happened, instead of a
-   raw exception escaping from an anonymous worker domain. *)
+(* Boundary for invalid fallback parameters, sampler divergence and worker
+   failure: translated into [Engine_error]s that carry where the failure
+   happened, instead of a raw exception escaping from an anonymous worker
+   domain. *)
 let exec_prepared (p : prepared) env =
+  (match env.env_on_budget with
+   | Fallback { eps; delta; burn_in } -> check_sampling ~eps ~delta ~burn_in
+   | Fail | Degrade -> ());
   try p.prep_exec env with
-  | Sample_inflationary.Did_not_converge n ->
-    err "sampling did not reach a fixpoint within %d steps (sequential sampler)" n
   | Pool.Worker_error { shard; completed; exn = Sample_inflationary.Did_not_converge n; _ }
     ->
     err "sampling did not reach a fixpoint within %d steps (shard %d, %d samples completed)" n
@@ -547,7 +510,7 @@ let make_env ~seed ~max_states ~max_steps ~domains ~guard ~on_budget ~ckpt =
    enables it there); with [stats] the report carries whatever that scope
    collected, timed from this call — compile time is the caller's concern,
    which is the point of caching prepared programs. *)
-let execute ?(seed = 0) ?max_states ?max_steps ?domains ?(guard = Guard.unlimited)
+let execute ?(seed = 0) ?max_states ?max_steps ?(domains = 1) ?(guard = Guard.unlimited)
     ?(on_budget = Degrade) ?ckpt ?(stats = false) (p : prepared) =
   let t0 = Obs.now_ns () in
   let env = make_env ~seed ~max_states ~max_steps ~domains ~guard ~on_budget ~ckpt in
@@ -561,8 +524,7 @@ let execute ?(seed = 0) ?max_states ?max_steps ?domains ?(guard = Guard.unlimite
     }
   end
 
-let run ?(seed = 0) ?max_states ?max_steps ?(optimize = false) ?(plan = true)
-    ?(strategy = Semi_naive) ?(magic = false) ?domains
+let run ?(seed = 0) ?max_states ?max_steps ?(magic = false) ?(domains = 1)
     ?(guard = Guard.unlimited) ?(on_budget = Degrade) ?ckpt ?(stats = false)
     ?(trace = false) ?(series = false) ~semantics ~method_ (parsed : Lang.Parser.parsed) =
   let series = series || trace in
@@ -592,7 +554,7 @@ let run ?(seed = 0) ?max_states ?max_steps ?(optimize = false) ?(plan = true)
       if series && not series_was then Obs.Series.set_enabled false)
   @@ fun () ->
   let t0 = Obs.now_ns () in
-  let p = prepare ~optimize ~plan ~strategy ~magic ~semantics ~method_ parsed in
+  let p = prepare ~magic ~semantics ~method_ parsed in
   let env = make_env ~seed ~max_states ~max_steps ~domains ~guard ~on_budget ~ckpt in
   let base = exec_prepared p env in
   if not stats then base

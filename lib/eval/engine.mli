@@ -5,17 +5,6 @@ type semantics =
   | Inflationary
   | Noninflationary
 
-(** How the exact inflationary engines step each fixpoint computation.
-    [Semi_naive] (the default) threads per-step deltas through
-    delta-compiled rule plans ({!Lang.Seminaive}); [Naive] re-evaluates
-    every rule body against the whole state each step (the [--naive]
-    ablation).  Answers, visited states and recorded state counts are
-    identical — only the work per step differs.  Requires plan execution;
-    interpreted runs always step naively. *)
-type strategy =
-  | Naive
-  | Semi_naive
-
 type method_ =
   | Exact  (** Prop 4.4 / Prop 5.4+Thm 5.5 *)
   | Exact_partitioned  (** §5.1 (non-inflationary only) *)
@@ -116,17 +105,16 @@ exception Engine_error of string
 type prepared
 
 val prepare :
-  ?optimize:bool ->
-  ?plan:bool ->
-  ?strategy:strategy ->
   ?magic:bool ->
   semantics:semantics ->
   method_:method_ ->
   Lang.Parser.parsed ->
   prepared
 (** Compile-time half of {!run}: same defaults and diagnostics.  Raises
-    {!Engine_error} when the input lacks a [?-] event or the method does
-    not apply to the semantics.  Phases ("rewrite"/"compile") are recorded
+    {!Engine_error} when the input lacks a [?-] event, the method does not
+    apply to the semantics, or the method's parameters are out of range
+    ([eps] and [delta] must lie in (0, 1), [burn_in] must be [>= 0],
+    [steps] must be [> 0]).  Phases ("rewrite"/"compile") are recorded
     into the current {!Obs} scope when stats are enabled there. *)
 
 val execute :
@@ -151,9 +139,6 @@ val run :
   ?seed:int ->
   ?max_states:int ->
   ?max_steps:int ->
-  ?optimize:bool ->
-  ?plan:bool ->
-  ?strategy:strategy ->
   ?magic:bool ->
   ?domains:int ->
   ?guard:Guard.t ->
@@ -166,22 +151,17 @@ val run :
   method_:method_ ->
   Lang.Parser.parsed ->
   report
-(** [optimize] (default false) runs {!Prob.Optimize.interp} on the compiled
-    kernel before evaluation.  [plan] (default true) compiles the kernel to
-    physical plans ({!Prob.Pplan}) built once per program and executed every
-    step; [~plan:false] keeps the AST interpreter (the ablation baseline).
-    Either way the answers are identical: exact methods return the same
-    rationals, sampling methods the same fixed-seed estimates.  [domains]
-    routes sampling methods through the Domain-parallel evaluators
-    ({!Pool}): estimates are then reproducible for a fixed [seed] whatever
-    the value of [domains] (including 1), but drawn from different RNG
-    streams than the default sequential samplers, which remain the [None]
-    behaviour for seed compatibility.
+(** Every run compiles the kernel to physical plans ({!Prob.Pplan}) built
+    once per program and executed every step; the exact inflationary
+    engines step each fixpoint through semi-naive delta plans
+    ({!Lang.Seminaive}), recorded in the report's diagnostics under
+    ["plan strategy"].  Sampling methods run on {!Pool.run_samples}:
+    [domains] (default 1) is how many OCaml domains the shards spread
+    over, at most {!Pool.available}.  For a fixed [seed] the estimate is
+    the same at every domain count, because the shards and their RNG
+    streams depend only on the seed and the sample count.
 
-    [strategy] (default [Semi_naive]) selects the fixpoint stepper for the
-    exact inflationary engines — see {!strategy}; the effective choice is
-    recorded in the report's diagnostics under ["plan strategy"].  [magic]
-    (default false) applies the {!Lang.Magic} demand rewrite to the
+    [magic] (default false) applies the {!Lang.Magic} demand rewrite to the
     program and event before compilation (inflationary semantics only;
     ignored with a diagnostic otherwise): the answer is unchanged while
     irrelevant derivations — and with them visited states — are pruned.
@@ -203,20 +183,20 @@ val run :
     boundaries, and {!Guard.request_interrupt} stops it from a signal
     handler.  [on_budget] (default [Degrade]) picks the reaction — see
     {!budget_policy}; [report.outcome] says whether the answer is complete.
-    [ckpt] routes sampling methods through the sharded pool (forcing
-    [domains = 1] when unset) with periodic checkpointing and/or a resume
-    snapshot ({!Pool.run_samples}): a resumed run's estimate is
-    bit-identical to an uninterrupted one with the same seed and domain
-    count.  Fault injection is read from the [PROBDB_FAULT] environment
+    [ckpt] adds periodic checkpointing and/or a resume snapshot to
+    sampling methods ({!Pool.run_samples}): a resumed run's estimate is
+    bit-identical to an uninterrupted one with the same seed.  Fault injection is read from the [PROBDB_FAULT] environment
     variable inside {!Pool}.
 
     Raises {!Engine_error} when the parsed input lacks a [?-] event, the
-    method does not apply (e.g. partitioned inflationary), a budget runs
-    out under [on_budget = Fail], a checkpoint file is invalid, or a
-    sampler diverges — {!Sample_inflationary.Did_not_converge} and
-    {!Pool.Worker_error} are caught here and converted into an
-    [Engine_error] naming the shard and samples completed (and listing any
-    other shards that failed in the same run). *)
+    method does not apply (e.g. partitioned inflationary), the method's or
+    a [Fallback] policy's parameters are out of range, a budget runs out
+    under [on_budget = Fail], a checkpoint file is invalid, or a
+    sampler diverges — {!Pool.Worker_error} (carrying
+    {!Sample_inflationary.Did_not_converge} for a divergent run) is caught
+    here and converted into an [Engine_error] naming the shard and samples
+    completed (and listing any other shards that failed in the same
+    run). *)
 
 val pp_report : Format.formatter -> report -> unit
 

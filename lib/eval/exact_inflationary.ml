@@ -162,7 +162,7 @@ let eval_worlds ?guard ?(prepare = Fun.id) query worlds =
   Q.sum
     (List.map (fun (db, p) -> Q.mul p (eval ?guard query (prepare db))) (Dist.support worlds))
 
-let eval_ctable ?guard ?(plan = false) ?(seminaive = true) ~program ~event ctable =
+let eval_ctable ?guard ?(plan = false) ~program ~event ctable =
   let worlds = Prob.Ctable.worlds ctable in
   match Dist.support worlds with
   | [] -> Q.zero
@@ -178,11 +178,7 @@ let eval_ctable ?guard ?(plan = false) ?(seminaive = true) ~program ~event ctabl
         let kernel, init0 = Lang.Compile.inflationary_kernel program world0 in
         let schema_of = Lang.Compile.schema_of_database init0 in
         let fq = Lang.Forever.compile ~schema_of (Lang.Forever.make ~kernel ~event) in
-        let fq =
-          if seminaive then Lang.Seminaive.install (Lang.Seminaive.compile ~schema_of program) fq
-          else fq
-        in
-        Some fq
+        Some (Lang.Seminaive.install (Lang.Seminaive.compile ~schema_of program) fq)
       end
     in
     Q.sum

@@ -57,13 +57,11 @@ val eval_worlds :
 val eval_ctable :
   ?guard:Guard.t ->
   ?plan:bool ->
-  ?seminaive:bool ->
   program:Lang.Datalog.program -> event:Lang.Event.t -> Prob.Ctable.t -> Bigq.Q.t
 (** Convenience pipeline: compile the program under inflationary semantics
     against each c-table world and average — the "even over probabilistic
-    c-tables" case of Proposition 4.4.  [plan] (default [false]) executes
-    each per-world kernel as compiled physical plans, and [seminaive]
-    (default [true], effective only with [plan]) additionally steps each
-    world's fixpoint through one shared semi-naive delta plan; the exact
-    rational answer is identical either way.  [guard]'s state budget spans
+    c-tables" case of Proposition 4.4.  [plan] (default [false]) steps
+    every world's fixpoint through one shared compiled, semi-naive delta
+    plan instead of the interpreted kernel; the exact rational answer is
+    identical either way.  [guard]'s state budget spans
     the whole world enumeration (one shared counter across worlds). *)

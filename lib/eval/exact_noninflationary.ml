@@ -128,12 +128,10 @@ let expected_hitting_time ?max_states query init =
     h.(start)
   end
 
-let eval_events ?max_states ?guard ?(plan = false) ~kernel ~events init =
+let eval_events ?max_states ?guard ~kernel ~events init =
   let step =
-    if plan then
-      Prob.Pplan.apply
-        (Prob.Pplan.compile_interp ~schema_of:(Lang.Compile.schema_of_database init) kernel)
-    else Prob.Interp.apply kernel
+    Prob.Pplan.apply
+      (Prob.Pplan.compile_interp ~schema_of:(Lang.Compile.schema_of_database init) kernel)
   in
   let chain = build_chain_step ?max_states ?guard step init in
   let start = match Chain.index chain init with Some i -> i | None -> 0 in

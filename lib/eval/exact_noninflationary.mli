@@ -64,7 +64,6 @@ val expected_hitting_time :
 val eval_events :
   ?max_states:int ->
   ?guard:Guard.t ->
-  ?plan:bool ->
   kernel:Prob.Interp.t ->
   events:Lang.Event.t list ->
   Relational.Database.t ->
@@ -72,9 +71,8 @@ val eval_events :
 (** Evaluate several query events over the SAME kernel and input — the
     chain is built and decomposed once; only the final mass summation is
     per-event.  E.g. the full stationary distribution of a walk in one
-    pass.  [plan] (default [false]) steps via compiled physical plans
-    ({!Prob.Pplan}) built against the initial database's schemas; the
-    results are identical. *)
+    pass.  Steps via compiled physical plans ({!Prob.Pplan}) built against
+    the initial database's schemas. *)
 
 val eval_kernel :
   ?max_states:int -> kernel:Lang.Kernel.t -> event:Lang.Event.t -> Relational.Database.t -> Bigq.Q.t

@@ -62,7 +62,10 @@ let map_tasks ~domains (tasks : (unit -> 'a) array) : 'a array =
   let n = Array.length tasks in
   if n = 0 then [||]
   else begin
-    let domains = max 1 (min domains n) in
+    (* Never more domains than the machine offers: the runtime's domain
+       limit would otherwise fail a spawn midway and strand the domains
+       already running. *)
+    let domains = max 1 (min (min domains n) (available ())) in
     if domains = 1 then Array.map (fun f -> f ()) tasks
     else begin
       let results : ('a, exn) result option array = Array.make n None in
@@ -129,71 +132,6 @@ let collect results =
       | Failed _ -> assert false)
     (0, 0) results
 
-let count_hits ~domains ~samples rng (run : Random.State.t -> bool) =
-  if samples <= 0 then invalid_arg "Pool.count_hits: samples must be positive";
-  let shards = default_shards samples in
-  let rngs = split_rngs rng shards in
-  let sizes = shard_sizes ~shards samples in
-  (* Stats/series/tracing are latched once at task-creation time, and each
-     task picks its whole loop body here: per-sample cost with everything
-     off is exactly the [run rng] call plus two int increments — the same
-     closures as before the telemetry existed. *)
-  let obs = Obs.enabled () in
-  let ser = Obs.Series.enabled () in
-  let trc = Obs.Trace.enabled () in
-  let tasks =
-    Array.init shards (fun s ->
-        let rng = rngs.(s) and todo = sizes.(s) in
-        let k = series_stride todo in
-        fun () ->
-          (* Series points and trace events from shared closures below this
-             frame (kernel steps, samplers) attribute to this shard. *)
-          if ser || trc then Obs.set_tid s;
-          let t0 = if obs || trc then Obs.now_ns () else 0 in
-          let hits = ref 0 and completed = ref 0 in
-          match
-            if ser then
-              while !completed < todo do
-                if run rng then incr hits;
-                incr completed;
-                if !completed mod k = 0 then begin
-                  let h = !hits and c = !completed in
-                  let lo, hi = Obs.wilson_interval ~hits:h ~total:c in
-                  Obs.Series.add "sampler.estimate" ~shard:s ~it:c
-                    (float_of_int h /. float_of_int c);
-                  Obs.Series.add "sampler.ci_low" ~shard:s ~it:c lo;
-                  Obs.Series.add "sampler.ci_high" ~shard:s ~it:c hi
-                end
-              done
-            else
-              while !completed < todo do
-                if run rng then incr hits;
-                incr completed
-              done
-          with
-          | () ->
-            if trc then
-              Obs.Trace.complete ~tid:s ~t0 ~dur:(Obs.now_ns () - t0)
-                ~args:[ ("samples", todo); ("hits", !hits) ]
-                "pool.shard";
-            if obs then
-              Obs.record_shard
-                {
-                  Obs.shard = s;
-                  samples = todo;
-                  hits = !hits;
-                  ms = Obs.ms_of_ns (Obs.now_ns () - t0);
-                };
-            Done { hits = !hits; completed = todo }
-          | exception e ->
-            let backtrace = Printexc.get_raw_backtrace () in
-            Failed { shard = s; completed = !completed; exn = e; backtrace })
-  in
-  let results = map_tasks ~domains tasks in
-  (* The calling domain ran tasks too; restore its default shard stamp. *)
-  if ser || trc then Obs.set_tid 0;
-  fst (collect results)
-
 type run = {
   hits : int;
   completed : int;
@@ -224,14 +162,15 @@ let resume_cells ~shards ~sizes ~samples ~key (saved : Guard.Checkpoint.t) =
       { ss with Guard.Checkpoint.rng = Random.State.copy ss.rng })
     saved.Guard.Checkpoint.shards
 
-(* The governed pool: same sharding and RNG streams as [count_hits], plus
-   per-sample budget/deadline/interrupt checks, deterministic fault hooks,
-   retry-once on transient failures, and periodic checkpoints.  Shards
-   replay from the last published cell state on retry and on resume, which
-   is what makes interrupted+resumed runs bit-identical to uninterrupted
-   ones: a cell's RNG state is exactly the state after its [completed]
-   samples. *)
-let governed ~guard ~fault ~ckpt ~domains ~samples rng run =
+(* The one sampling loop: fixed sharding and RNG streams, per-sample
+   budget/deadline/interrupt checks, deterministic fault hooks, retry-once
+   on transient failures, and periodic checkpoints.  Shards replay from the
+   last published cell state on retry and on resume, which is what makes
+   interrupted+resumed runs bit-identical to uninterrupted ones: a cell's
+   RNG state is exactly the state after its [completed] samples. *)
+let run_samples ?(guard = Guard.unlimited) ?fault ?ckpt ~domains ~samples rng run =
+  if samples <= 0 then invalid_arg "Pool.run_samples: samples must be positive";
+  let fault = match fault with Some f -> f | None -> Guard.Fault.of_env () in
   let shards = default_shards samples in
   let rngs = split_rngs rng shards in
   let sizes = shard_sizes ~shards samples in
@@ -330,10 +269,11 @@ let governed ~guard ~fault ~ckpt ~domains ~samples rng run =
                   Obs.Series.add "sampler.ci_low" ~shard:s ~it:c lo;
                   Obs.Series.add "sampler.ci_high" ~shard:s ~it:c hi
                 end;
-                if save_ckpt <> None && !completed mod ckpt_stride = 0 then begin
+                match save_ckpt with
+                | Some save when !completed mod ckpt_stride = 0 ->
                   publish ~completed:!completed ~hits:!hits rng;
-                  match save_ckpt with Some f -> f () | None -> ()
-                end
+                  save ()
+                | _ -> ()
               done
             with
             | () ->
@@ -400,14 +340,3 @@ let governed ~guard ~fault ~ckpt ~domains ~samples rng run =
       | None -> None)
   in
   { hits; completed; requested = samples; stopped }
-
-let run_samples ?(guard = Guard.unlimited) ?fault ?ckpt ~domains ~samples rng run =
-  if samples <= 0 then invalid_arg "Pool.run_samples: samples must be positive";
-  let fault = match fault with Some f -> f | None -> Guard.Fault.of_env () in
-  match ckpt with
-  | None when (not (Guard.active guard)) && Guard.Fault.is_none fault ->
-    (* Ungoverned fast path: exactly [count_hits], so governance stays
-       zero-cost when off and fixed-seed estimates are unchanged. *)
-    let hits = count_hits ~domains ~samples rng run in
-    { hits; completed = samples; requested = samples; stopped = None }
-  | _ -> governed ~guard ~fault ~ckpt ~domains ~samples rng run

@@ -21,39 +21,25 @@ type failure = {
 
 exception
   Worker_error of { shard : int; completed : int; exn : exn; failures : failure list }
-(** Raised by {!count_hits}/{!run_samples} when [run] raises: every shard
+(** Raised by {!run_samples} when [run] raises: every shard
     still runs to its own conclusion, then all failed shards are collected
     into [failures] (ascending shard order) and the first one's
     shard/completed/exn ride along at top level for compatibility.  The
     raise preserves the first failure's original backtrace
-    ([Printexc.raise_with_backtrace]).  Raised on the calling domain
-    (sequential path) or after all domains join (parallel path). *)
+    ([Printexc.raise_with_backtrace]).  Raised on the calling domain after
+    all domains join. *)
 
 val split_rngs : Random.State.t -> int -> Random.State.t array
 (** [split_rngs rng n] deterministically splits [n] independent child
     streams off [rng] (advancing it). *)
 
 val map_tasks : domains:int -> (unit -> 'a) array -> 'a array
-(** Runs the tasks on [domains] domains (clamped to [1 .. #tasks]) and
+(** Runs the tasks on [domains] domains (clamped to
+    [1 .. min #tasks (available ())]) and
     returns their results in task order.  Task-to-domain assignment is
     dynamic (work stealing off a shared counter); results are positioned by
     task index, so the output does not depend on scheduling.  If a task
     raises, the exception is re-raised after all domains are joined. *)
-
-val count_hits :
-  domains:int -> samples:int -> Random.State.t -> (Random.State.t -> bool) -> int
-(** [count_hits ~domains ~samples rng run]: evaluates [run] on [samples]
-    independent trials sharded across domains and returns the number of
-    [true] results.  Each shard draws from its own stream split off [rng];
-    the count is reproducible for a fixed (rng state, samples) regardless of
-    [domains].  Raises [Invalid_argument] when [samples <= 0].
-
-    Telemetry (latched at task-build time, off path unchanged): with
-    {!Obs.Series} enabled each shard records a ["sampler.estimate"] series
-    with Wilson 95% bounds every k-th sample (k a function of the shard's
-    workload only, so the merged series is domain-count independent); with
-    {!Obs.Trace} enabled each shard emits one complete ["pool.shard"] span
-    on its own tid and stamps {!Obs.set_tid} for nested recording sites. *)
 
 type run = {
   hits : int;
@@ -77,11 +63,14 @@ val run_samples :
   Random.State.t ->
   (Random.State.t -> bool) ->
   run
-(** Resource-governed {!count_hits}.  With the default unlimited guard, no
-    fault spec in scope (explicit or [PROBDB_FAULT]) and no checkpoint, it
-    runs the exact {!count_hits} path — governance is zero-cost when off
-    and fixed-seed estimates are unchanged.  Otherwise the governed loop
-    adds, per sample, one stop-flag read plus deadline/interrupt polls:
+(** [run_samples ~domains ~samples rng run]: evaluates [run] on [samples]
+    independent trials and counts the [true] results.  The trials are cut
+    into [min samples 32] shards, each drawing from its own stream split
+    off [rng]; shards run on up to [domains] domains ({!map_tasks}).  For a
+    fixed (rng state, samples) the result is the same at every domain
+    count.  Raises [Invalid_argument] when [samples <= 0].  Per sample the
+    loop reads one stop flag and polls the guard's deadline, cancellation
+    and the interrupt flag:
 
     - A sample budget clamps each shard's quota up front with the same
       deterministic split as the samples themselves, so the budgeted run
@@ -98,4 +87,10 @@ val run_samples :
       does not match this run's key or shape.
     - [fault] injects deterministic failures ({!Guard.Fault}); shards
       failing with {!Guard.Fault.Transient} are retried once, replaying
-      deterministically from their last published state. *)
+      deterministically from their last published state.
+
+    Telemetry is latched once per run: with {!Obs.Series} enabled each
+    shard records a ["sampler.estimate"] series with Wilson 95% bounds
+    every k-th sample (k a function of the shard's workload only, so the
+    merged series is domain-count independent); with {!Obs.Trace} enabled
+    each shard emits one complete ["pool.shard"] span on its own tid. *)

@@ -42,63 +42,11 @@ let run_once ?(max_steps = 100_000) rng query init =
   in
   go init 0
 
-(* Sequential convergence cadence, mirroring [Pool]'s per-shard one (the
-   sequential sampler is shard 0 of 1). *)
-let record_estimate ~hits ~completed =
-  let lo, hi = Obs.wilson_interval ~hits ~total:completed in
-  Obs.Series.add "sampler.estimate" ~shard:0 ~it:completed
-    (float_of_int hits /. float_of_int completed);
-  Obs.Series.add "sampler.ci_low" ~shard:0 ~it:completed lo;
-  Obs.Series.add "sampler.ci_high" ~shard:0 ~it:completed hi
-
-(* The governed sequential loop.  With the default unlimited guard the
-   draw sequence (and hence the estimate) is exactly the historical
-   sequential sampler's: same worlds, same per-sample records. *)
-let run_samples ?max_steps ?init_sampler ?(guard = Guard.unlimited) ~samples rng query init =
-  if samples <= 0 then invalid_arg "run_samples: samples must be positive";
-  let ser = Obs.Series.enabled () in
-  let k = max 1 (samples / 32) in
-  (* A sample budget truncates the run up front; deadline and interrupt are
-     polled per sample via the latched [gstop] (no closure, no branch, when
-     the guard is off). *)
-  let target =
-    match Guard.sample_budget guard with Some b when b < samples -> b | _ -> samples
-  in
-  let gstop = Guard.stop_check guard in
-  let hits = ref 0 and completed = ref 0 in
-  let stopped = ref None in
-  (try
-     while !completed < target do
-       (match gstop with Some check -> check () | None -> ());
-       let world = match init_sampler with Some f -> f rng | None -> init in
-       if run_once ?max_steps rng query world then incr hits;
-       incr completed;
-       if ser && !completed mod k = 0 then record_estimate ~hits:!hits ~completed:!completed
-     done;
-     if target < samples then
-       stopped := Some (Guard.Samples { budget = target; completed = !completed })
-   with Guard.Exhausted r -> stopped := Some r);
-  { Pool.hits = !hits; completed = !completed; requested = samples; stopped = !stopped }
-
-let eval ?max_steps ?init_sampler ~samples rng query init =
-  let r = run_samples ?max_steps ?init_sampler ~samples rng query init in
-  float_of_int r.Pool.hits /. float_of_int r.Pool.requested
-
-let eval_eps_delta ?max_steps ?init_sampler ~eps ~delta rng query init =
-  eval ?max_steps ?init_sampler ~samples:(samples_needed ~eps ~delta) rng query init
-
-let run_samples_par ?max_steps ?init_sampler ?guard ?fault ?ckpt ~domains ~samples rng query
+let run_samples ?max_steps ?init_sampler ?guard ?fault ?ckpt ?(domains = 1) ~samples rng query
     init =
   Pool.run_samples ?guard ?fault ?ckpt ~domains ~samples rng (fun rng ->
       let world = match init_sampler with Some f -> f rng | None -> init in
       run_once ?max_steps rng query world)
-
-let eval_par ?max_steps ?init_sampler ~domains ~samples rng query init =
-  let r = run_samples_par ?max_steps ?init_sampler ~domains ~samples rng query init in
-  float_of_int r.Pool.hits /. float_of_int r.Pool.requested
-
-let eval_eps_delta_par ?max_steps ?init_sampler ~domains ~eps ~delta rng query init =
-  eval_par ?max_steps ?init_sampler ~domains ~samples:(samples_needed ~eps ~delta) rng query init
 
 let ctable_sampler ~program ctable rng =
   let theta = Prob.Ctable.sample_valuation rng ctable in

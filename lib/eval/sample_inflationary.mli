@@ -10,96 +10,31 @@ val samples_needed : eps:float -> delta:float -> int
     [m = ⌈ln(2/δ) / (2 ε²)⌉]: running [m] independent trials yields
     [Pr(|p̂ − p| ≥ ε) ≤ δ]. *)
 
-val run_once :
-  ?max_steps:int -> Random.State.t -> Lang.Inflationary.t -> Relational.Database.t -> bool
-(** One sampled run to the fixpoint; whether the event holds there.
-    [max_steps] (default 100000) guards against miswritten kernels.  When
-    {!Obs.Series} is enabled, records ["fixpoint.db_tuples"] and
-    ["fixpoint.delta_tuples"] per step under the current shard. *)
-
-val record_estimate : hits:int -> completed:int -> unit
-(** Appends one ["sampler.estimate"]/["sampler.ci_low"]/["sampler.ci_high"]
-    point (Wilson 95% interval) for shard 0 — the sequential samplers'
-    convergence cadence, shared with {!Sample_noninflationary}. *)
-
 val run_samples :
-  ?max_steps:int ->
-  ?init_sampler:(Random.State.t -> Relational.Database.t) ->
-  ?guard:Guard.t ->
-  samples:int ->
-  Random.State.t ->
-  Lang.Inflationary.t ->
-  Relational.Database.t ->
-  Pool.run
-(** The governed sequential sampler: runs up to [samples] trials, stopping
-    early (with [stopped = Some _]) when [guard]'s sample budget or
-    deadline runs out or an interrupt is requested.  With the default
-    unlimited guard the draw sequence is identical to {!eval}'s. *)
-
-val run_samples_par :
   ?max_steps:int ->
   ?init_sampler:(Random.State.t -> Relational.Database.t) ->
   ?guard:Guard.t ->
   ?fault:Guard.Fault.spec ->
   ?ckpt:Pool.ckpt ->
-  domains:int ->
+  ?domains:int ->
   samples:int ->
   Random.State.t ->
   Lang.Inflationary.t ->
   Relational.Database.t ->
   Pool.run
-(** The governed sharded sampler ({!Pool.run_samples}): budgets, fault
-    injection, checkpoint/resume.  Ungoverned calls take the exact
-    {!eval_par} path. *)
+(** The Theorem 4.3 estimator: [samples] independent runs to the fixpoint
+    on {!Pool.run_samples} (budgets, fault injection, checkpoint/resume),
+    counting those whose fixpoint satisfies the event.  [domains]
+    (default 1) only spreads the shards; for a fixed seed the result is
+    the same at every domain count.  [init_sampler], when given, draws a
+    fresh initial world per run (e.g. a c-table valuation); the database
+    argument is then ignored.  Size [samples] with {!samples_needed}.
 
-val eval :
-  ?max_steps:int ->
-  ?init_sampler:(Random.State.t -> Relational.Database.t) ->
-  samples:int ->
-  Random.State.t ->
-  Lang.Inflationary.t ->
-  Relational.Database.t ->
-  float
-(** Fraction of [samples] runs whose fixpoint satisfies the event.
-    [init_sampler], when given, draws a fresh initial world per run (e.g. a
-    c-table valuation); the database argument is then ignored. *)
-
-val eval_eps_delta :
-  ?max_steps:int ->
-  ?init_sampler:(Random.State.t -> Relational.Database.t) ->
-  eps:float ->
-  delta:float ->
-  Random.State.t ->
-  Lang.Inflationary.t ->
-  Relational.Database.t ->
-  float
-(** {!eval} with the sample count from {!samples_needed}. *)
-
-val eval_par :
-  ?max_steps:int ->
-  ?init_sampler:(Random.State.t -> Relational.Database.t) ->
-  domains:int ->
-  samples:int ->
-  Random.State.t ->
-  Lang.Inflationary.t ->
-  Relational.Database.t ->
-  float
-(** {!eval} with the restarts sharded across [domains] OCaml domains
-    ({!Pool}).  The estimate is reproducible for a fixed seed regardless of
-    [domains] (including [domains = 1]), but uses different RNG streams than
-    the sequential {!eval}, so the two may differ on the same seed. *)
-
-val eval_eps_delta_par :
-  ?max_steps:int ->
-  ?init_sampler:(Random.State.t -> Relational.Database.t) ->
-  domains:int ->
-  eps:float ->
-  delta:float ->
-  Random.State.t ->
-  Lang.Inflationary.t ->
-  Relational.Database.t ->
-  float
-(** {!eval_par} with the sample count from {!samples_needed}. *)
+    [max_steps] (default 100000) bounds each run's walk to the fixpoint; a
+    run that exceeds it fails its shard with {!Did_not_converge} inside
+    {!Pool.Worker_error}.  When {!Obs.Series} is enabled, each run records
+    ["fixpoint.db_tuples"] and ["fixpoint.delta_tuples"] per step under its
+    shard. *)
 
 val ctable_sampler :
   program:Lang.Datalog.program -> Prob.Ctable.t -> (Random.State.t -> Relational.Database.t)

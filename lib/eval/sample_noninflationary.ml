@@ -8,59 +8,10 @@ let run_once rng ~burn_in query init =
   in
   go init burn_in
 
-(* Governed sequential loop; see [Sample_inflationary.run_samples] — same
-   shape, same draw-sequence compatibility with the historical [eval]. *)
-let run_samples ?(guard = Guard.unlimited) rng ~burn_in ~samples query init =
-  if samples <= 0 then invalid_arg "run_samples: samples must be positive";
-  let ser = Obs.Series.enabled () in
-  let k = max 1 (samples / 32) in
-  let target =
-    match Guard.sample_budget guard with Some b when b < samples -> b | _ -> samples
-  in
-  let gstop = Guard.stop_check guard in
-  let hits = ref 0 and completed = ref 0 in
-  let stopped = ref None in
-  (try
-     while !completed < target do
-       (match gstop with Some check -> check () | None -> ());
-       if run_once rng ~burn_in query init then incr hits;
-       incr completed;
-       if ser && !completed mod k = 0 then
-         Sample_inflationary.record_estimate ~hits:!hits ~completed:!completed
-     done;
-     if target < samples then
-       stopped := Some (Guard.Samples { budget = target; completed = !completed })
-   with Guard.Exhausted r -> stopped := Some r);
-  { Pool.hits = !hits; completed = !completed; requested = samples; stopped = !stopped }
-
-let eval rng ~burn_in ~samples query init =
-  let r = run_samples rng ~burn_in ~samples query init in
-  float_of_int r.Pool.hits /. float_of_int r.Pool.requested
-
-let eval_eps_delta rng ~burn_in ~eps ~delta query init =
-  eval rng ~burn_in ~samples:(Sample_inflationary.samples_needed ~eps ~delta) query init
-
-let run_samples_par ?guard ?fault ?ckpt rng ~domains ~burn_in ~samples query init =
+let run_samples ?guard ?fault ?ckpt ?(domains = 1) rng ~burn_in ~samples query init =
+  if burn_in < 0 then invalid_arg "run_samples: burn_in must be non-negative";
   Pool.run_samples ?guard ?fault ?ckpt ~domains ~samples rng (fun rng ->
       run_once rng ~burn_in query init)
-
-let eval_par rng ~domains ~burn_in ~samples query init =
-  let r = run_samples_par rng ~domains ~burn_in ~samples query init in
-  float_of_int r.Pool.hits /. float_of_int r.Pool.requested
-
-let eval_eps_delta_par rng ~domains ~burn_in ~eps ~delta query init =
-  eval_par rng ~domains ~burn_in
-    ~samples:(Sample_inflationary.samples_needed ~eps ~delta)
-    query init
-
-let eval_kernel rng ~burn_in ~samples ~kernel ~event init =
-  if samples <= 0 then invalid_arg "eval_kernel: samples must be positive";
-  let hits = ref 0 in
-  for _ = 1 to samples do
-    let rec go db k = if k = 0 then db else go (Lang.Kernel.sample kernel rng db) (k - 1) in
-    if Lang.Event.holds event (go init burn_in) then incr hits
-  done;
-  float_of_int !hits /. float_of_int samples
 
 (* The long-run average is over the stationary regime; averaging from the
    initial state folds the pre-mixing prefix into the estimate and biases

@@ -6,82 +6,25 @@
     of the event probability, in time polynomial in the database size and
     the mixing time. *)
 
-val run_once :
-  Random.State.t -> burn_in:int -> Lang.Forever.t -> Relational.Database.t -> bool
-(** One independent sample: walk [burn_in] steps from the input, test the
-    event at the final state. *)
-
 val run_samples :
-  ?guard:Guard.t ->
-  Random.State.t ->
-  burn_in:int ->
-  samples:int ->
-  Lang.Forever.t ->
-  Relational.Database.t ->
-  Pool.run
-(** Governed sequential estimator: up to [samples] restarts, stopping early
-    (with [stopped = Some _]) on the guard's sample budget, deadline or an
-    interrupt.  With the default unlimited guard the draw sequence is
-    identical to {!eval}'s. *)
-
-val run_samples_par :
   ?guard:Guard.t ->
   ?fault:Guard.Fault.spec ->
   ?ckpt:Pool.ckpt ->
+  ?domains:int ->
   Random.State.t ->
-  domains:int ->
   burn_in:int ->
   samples:int ->
   Lang.Forever.t ->
   Relational.Database.t ->
   Pool.run
-(** Governed sharded estimator ({!Pool.run_samples}): budgets, fault
-    injection, checkpoint/resume.  Ungoverned calls take the exact
-    {!eval_par} path. *)
-
-val eval :
-  Random.State.t -> burn_in:int -> samples:int -> Lang.Forever.t -> Relational.Database.t -> float
-(** The Theorem 5.6 estimator: fraction of [samples] independent restarts
-    whose mixed end state satisfies the event. *)
-
-val eval_eps_delta :
-  Random.State.t ->
-  burn_in:int ->
-  eps:float ->
-  delta:float ->
-  Lang.Forever.t ->
-  Relational.Database.t ->
-  float
-(** {!eval} with the Hoeffding sample count of
-    {!Sample_inflationary.samples_needed}. *)
-
-val eval_par :
-  Random.State.t ->
-  domains:int ->
-  burn_in:int ->
-  samples:int ->
-  Lang.Forever.t ->
-  Relational.Database.t ->
-  float
-(** {!eval} with the independent restarts sharded across [domains] OCaml
-    domains ({!Pool}).  Reproducible for a fixed seed regardless of
-    [domains]; uses different RNG streams than the sequential {!eval}. *)
-
-val eval_eps_delta_par :
-  Random.State.t ->
-  domains:int ->
-  burn_in:int ->
-  eps:float ->
-  delta:float ->
-  Lang.Forever.t ->
-  Relational.Database.t ->
-  float
-(** {!eval_par} with the Hoeffding sample count. *)
-
-val eval_kernel :
-  Random.State.t -> burn_in:int -> samples:int -> kernel:Lang.Kernel.t -> event:Lang.Event.t ->
-  Relational.Database.t -> float
-(** {!eval} for a composite {!Lang.Kernel}. *)
+(** The Theorem 5.6 estimator: [samples] independent restarts on
+    {!Pool.run_samples} (budgets, fault injection, checkpoint/resume), each
+    walking [burn_in] steps from the input; counts the restarts whose end
+    state satisfies the event.  [domains]
+    (default 1) only spreads the shards; for a fixed seed the result is
+    the same at every domain count.  Size [samples] with
+    {!Sample_inflationary.samples_needed}.  Raises [Invalid_argument] when
+    [burn_in < 0]. *)
 
 val eval_time_average :
   Random.State.t -> ?burn_in:int -> steps:int -> Lang.Forever.t -> Relational.Database.t -> float

@@ -50,7 +50,7 @@ val initial_database : Datalog.program -> Relational.Database.t -> Relational.Da
 
 val schema_of_database : Relational.Database.t -> string -> string list
 (** [schema_of_database db] is the schema table of a concrete database —
-    what {!Forever.compile} (and {!Prob.Optimize}) need for a compiled
+    what {!Forever.compile} needs for a compiled
     kernel, whose initial database names every relation it mentions.
     Raises [Not_found] for an absent relation. *)
 

@@ -12,8 +12,8 @@ type t = {
 
 let make ~kernel ~event = { kernel; plan = None; delta = None; event }
 
-let compile ?optimize ~schema_of q =
-  { q with plan = Some (Prob.Pplan.compile_interp ?optimize ~schema_of q.kernel) }
+let compile ~schema_of q =
+  { q with plan = Some (Prob.Pplan.compile_interp ~schema_of q.kernel) }
 
 let interpreted q = { q with plan = None; delta = None }
 let is_compiled q = Option.is_some q.plan

@@ -30,7 +30,7 @@ type t = {
 val make : kernel:Prob.Interp.t -> event:Event.t -> t
 (** An interpreted query ([plan = None], [delta = None]). *)
 
-val compile : ?optimize:bool -> schema_of:(string -> string list) -> t -> t
+val compile : schema_of:(string -> string list) -> t -> t
 (** Compile the kernel to physical plans ({!Prob.Pplan.compile_interp});
     [schema_of] gives each mentioned relation's columns (e.g. from the
     initial database).  Stepping a compiled query yields identical
@@ -40,14 +40,15 @@ val compile : ?optimize:bool -> schema_of:(string -> string list) -> t -> t
     interpreter would only hit mid-run. *)
 
 val interpreted : t -> t
-(** Drop the compiled plans and the delta stepper (ablation baseline). *)
+(** Drop the compiled plans and the delta stepper: the uncompiled
+    reference the tests and benchmarks compare plans against. *)
 
 val is_compiled : t -> bool
 
 val with_delta : t -> delta_stepper -> t
 val without_delta : t -> t
-(** [without_delta] keeps the plans but drops the semi-naive stepper — the
-    [--naive] ablation. *)
+(** [without_delta] keeps the plans but drops the semi-naive stepper: the
+    naive stepping the tests and benchmarks compare deltas against. *)
 
 val delta_stepper : t -> delta_stepper option
 

@@ -39,12 +39,12 @@ type t = {
 
 let fresh_relation i = Printf.sprintf "__newvals%d" i
 
-let compile ?optimize ~schema_of (program : Datalog.program) =
+let compile ~schema_of (program : Datalog.program) =
   let rules =
     List.mapi
       (fun i (r : Datalog.rule) ->
         let vals_expr, cols = Compile.rule_body_query ~schema_of r in
-        let vals = Prob.Pplan.compile_delta ?optimize ~schema_of vals_expr in
+        let vals = Prob.Pplan.compile_delta ~schema_of vals_expr in
         let fresh_name = fresh_relation i in
         let schema_of' name =
           if String.equal name fresh_name then cols else schema_of name

@@ -17,13 +17,10 @@
 
 type t
 
-val compile :
-  ?optimize:bool -> schema_of:(string -> string list) -> Datalog.program -> t
+val compile : schema_of:(string -> string list) -> Datalog.program -> t
 (** [schema_of] is the kernel compiler's schema table (e.g.
     {!Compile.schema_of_database} of the inflationary initial database).
-    [optimize] (default false) runs {!Prob.Optimize.expression} on each
-    body before delta compilation.  Raises the usual compile-time schema
-    errors. *)
+    Raises the usual compile-time schema errors. *)
 
 val incremental_rules : t -> int
 (** Rules evaluated incrementally (monotone, delta-compiled bodies). *)

@@ -113,9 +113,7 @@ let rec plan ~schema_of (e : Palgebra.t) =
             sample_one rng r);
       })
 
-let compile ?(optimize = false) ~schema_of e =
-  let e = if optimize then Optimize.expression ~schema_of e else e in
-  plan ~schema_of e
+let compile ~schema_of e = plan ~schema_of e
 
 (* --- delta plans -------------------------------------------------------- *)
 
@@ -128,8 +126,7 @@ type delta = {
   det : Plan.Delta.t option;  (* [Some] iff the expression is Repair_key-free *)
 }
 
-let compile_delta ?(optimize = false) ~schema_of e =
-  let e = if optimize then Optimize.expression ~schema_of e else e in
+let compile_delta ~schema_of e =
   match Palgebra.to_algebra e with
   | Some a ->
     let d = Plan.Delta.compile ~schema_of a in
@@ -151,8 +148,8 @@ let delta_eval d db delta =
 
 type interp = (string * t) list
 
-let compile_interp ?optimize ~schema_of i =
-  List.map (fun (name, q) -> (name, compile ?optimize ~schema_of q)) (Interp.bindings i)
+let compile_interp ~schema_of i =
+  List.map (fun (name, q) -> (name, compile ~schema_of q)) (Interp.bindings i)
 
 (* Mirrors [Interp.apply]: per-relation result distributions against the old
    state, folded into databases with the same product order and compare. *)

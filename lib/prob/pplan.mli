@@ -19,17 +19,15 @@
       subtrees draw nothing, samplers visit repair groups in the same
       order — so fixed-seed runs are bit-identical with and without plans.
 
-    [~optimize] runs {!Optimize.expression} once at plan-build time, so an
-    optimised kernel costs nothing extra per step.  Plans are immutable and
-    safe to execute concurrently from several domains. *)
+    Plans are immutable and safe to execute concurrently from several
+    domains. *)
 
 type t
 
-val compile : ?optimize:bool -> schema_of:(string -> string list) -> Palgebra.t -> t
-(** [compile ?optimize ~schema_of e]; [schema_of name] gives the column
-    list of every relation [e] mentions (the kernel compiler's schema
-    table, or the initial database's columns).  [optimize] defaults to
-    [false]. *)
+val compile : schema_of:(string -> string list) -> Palgebra.t -> t
+(** [compile ~schema_of e]; [schema_of name] gives the column list of
+    every relation [e] mentions (the kernel compiler's schema table, or the
+    initial database's columns). *)
 
 val schema : t -> string list
 
@@ -49,8 +47,7 @@ val sample : Random.State.t -> t -> Relational.Database.t -> Relational.Relation
 
 type delta
 
-val compile_delta :
-  ?optimize:bool -> schema_of:(string -> string list) -> Palgebra.t -> delta
+val compile_delta : schema_of:(string -> string list) -> Palgebra.t -> delta
 
 val delta_base : delta -> t
 (** The full plan over the same expression. *)
@@ -72,8 +69,7 @@ val delta_eval :
 type interp
 (** A compiled transition kernel: every rule of an {!Interp.t} compiled. *)
 
-val compile_interp :
-  ?optimize:bool -> schema_of:(string -> string list) -> Interp.t -> interp
+val compile_interp : schema_of:(string -> string list) -> Interp.t -> interp
 
 val apply : interp -> Relational.Database.t -> Relational.Database.t Dist.t
 (** Agrees with {!Interp.apply} as an exact distribution. *)

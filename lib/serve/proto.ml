@@ -36,9 +36,6 @@ type query = {
   q_domains : int option;
   q_max_states : int;
   q_max_steps : int option;
-  q_optimize : bool;
-  q_interpreted : bool;
-  q_naive : bool;
   q_magic : bool;
   q_stats : bool;
   q_trace : bool;
@@ -141,9 +138,6 @@ let query_of o ~default_method =
       q_domains = opt_int o "domains";
       q_max_states = dflt 100_000 (opt_int o "max_states");
       q_max_steps = opt_int o "max_steps";
-      q_optimize = dflt false (opt_bool o "optimize");
-      q_interpreted = dflt false (opt_bool o "interpreted");
-      q_naive = dflt false (opt_bool o "naive");
       q_magic = dflt false (opt_bool o "magic");
       q_stats = dflt true (opt_bool o "stats");
       q_trace = dflt false (opt_bool o "trace")

@@ -53,9 +53,6 @@ type query = {
   q_domains : int option;
   q_max_states : int;
   q_max_steps : int option;
-  q_optimize : bool;
-  q_interpreted : bool;
-  q_naive : bool;
   q_magic : bool;
   q_stats : bool;
   q_trace : bool;  (** per-request trace export, returned inline *)

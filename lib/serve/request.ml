@@ -7,15 +7,10 @@ type spec = {
   source : string;
   semantics : Eval.Engine.semantics;
   method_ : Eval.Engine.method_;
-  optimize : bool;
-  plan : bool;
-  strategy : Eval.Engine.strategy;
   magic : bool;
 }
 
-let make ?(optimize = false) ?(plan = true) ?(strategy = Eval.Engine.Semi_naive)
-    ?(magic = false) ~semantics ~method_ source =
-  { source; semantics; method_; optimize; plan; strategy; magic }
+let make ?(magic = false) ~semantics ~method_ source = { source; semantics; method_; magic }
 
 let semantics_slug = function
   | Eval.Engine.Inflationary -> "inflationary"
@@ -36,14 +31,9 @@ let fingerprint spec =
   Digest.to_hex
     (Digest.string
        (String.concat "|"
-          [ "probdb.plan/1";
+          [ "probdb.plan/2";
             semantics_slug spec.semantics;
             method_slug spec.method_;
-            string_of_bool spec.optimize;
-            string_of_bool spec.plan;
-            (match spec.strategy with
-             | Eval.Engine.Naive -> "naive"
-             | Eval.Engine.Semi_naive -> "semi-naive");
             string_of_bool spec.magic;
             spec.source
           ]))
@@ -57,8 +47,8 @@ let cache_stats = Prob.Pplan.Cache.stats
 let prepare ?cache spec =
   let build () =
     let parsed = Lang.Parser.parse spec.source in
-    Eval.Engine.prepare ~optimize:spec.optimize ~plan:spec.plan ~strategy:spec.strategy
-      ~magic:spec.magic ~semantics:spec.semantics ~method_:spec.method_ parsed
+    Eval.Engine.prepare ~magic:spec.magic ~semantics:spec.semantics ~method_:spec.method_
+      parsed
   in
   match cache with
   | None -> (build (), false)

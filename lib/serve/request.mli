@@ -15,23 +15,16 @@ type spec = {
   source : string;  (** program text (concrete syntax) *)
   semantics : Eval.Engine.semantics;
   method_ : Eval.Engine.method_;
-  optimize : bool;
-  plan : bool;
-  strategy : Eval.Engine.strategy;
   magic : bool;
 }
 
 val make :
-  ?optimize:bool ->
-  ?plan:bool ->
-  ?strategy:Eval.Engine.strategy ->
   ?magic:bool ->
   semantics:Eval.Engine.semantics ->
   method_:Eval.Engine.method_ ->
   string ->
   spec
-(** Defaults mirror {!Eval.Engine.run}: no optimisation, compiled plans,
-    semi-naive deltas, no magic rewrite. *)
+(** Defaults mirror {!Eval.Engine.run}: no magic rewrite. *)
 
 val semantics_slug : Eval.Engine.semantics -> string
 val method_slug : Eval.Engine.method_ -> string

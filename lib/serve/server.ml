@@ -307,9 +307,6 @@ let run_query t ~tenant ~id ~corr ~corr_seq (q : Proto.query) =
         { Request.source;
           semantics = q.q_semantics;
           method_;
-          optimize = q.q_optimize;
-          plan = not q.q_interpreted;
-          strategy = (if q.q_naive then Eval.Engine.Naive else Eval.Engine.Semi_naive);
           magic = q.q_magic
         }
       in

@@ -1,3 +1,8 @@
+(* Algebraic rewriting for probabilistic algebra expressions, kept as a
+   test-only reference: the property suites check that every rewrite
+   preserves distributions.  No evaluation path runs it. *)
+
+open Prob
 module P = Palgebra
 module Pred = Relational.Pred
 module Relation = Relational.Relation

@@ -29,7 +29,8 @@ let prop_exact_vs_sampled_inflationary =
       in
       let exact = Q.to_float (Eval.Exact_inflationary.eval q init) in
       let rng = Random.State.make [| seed + 1 |] in
-      let sampled = Eval.Sample_inflationary.eval ~samples:1500 rng q init in
+      let r = Eval.Sample_inflationary.run_samples ~samples:1500 rng q init in
+      let sampled = float_of_int r.Eval.Pool.hits /. 1500.0 in
       abs_float (exact -. sampled) < 0.08)
 
 (* Prop 3.8: the compiled inflationary kernel of ANY probabilistic datalog
@@ -74,7 +75,7 @@ let prop_optimizer_end_to_end =
         Lang.Compile.inflationary_kernel case.Workload.Progen.program case.Workload.Progen.database
       in
       let schema_of name = Relational.Relation.columns (Database.find name init) in
-      let kernel' = Prob.Optimize.interp ~schema_of kernel in
+      let kernel' = Optimize.interp ~schema_of kernel in
       let q k = Lang.Inflationary.of_forever_unchecked (Lang.Forever.make ~kernel:k ~event:case.Workload.Progen.event) in
       Q.equal (Eval.Exact_inflationary.eval (q kernel) init) (Eval.Exact_inflationary.eval (q kernel') init))
 
@@ -186,7 +187,11 @@ let prop_plan_sampler_estimates_identical =
       in
       let q = Lang.Forever.make ~kernel ~event:case.Workload.Progen.event in
       let wrap = Lang.Inflationary.of_forever_unchecked in
-      let est q' s = Eval.Sample_inflationary.eval ~samples:300 (Random.State.make [| s |]) (wrap q') init in
+      let est q' s =
+        (Eval.Sample_inflationary.run_samples ~samples:300 (Random.State.make [| s |]) (wrap q')
+           init)
+          .Eval.Pool.hits
+      in
       est q (seed + 1) = est (compiled_of init q) (seed + 1))
 
 (* Semi-naive delta stepping is a pure mechanism change: on random

@@ -15,6 +15,9 @@ let q_t = Alcotest.testable Q.pp Q.equal
 
 let parse = Parser.parse
 
+(* Fraction of a sampler run's trials that hit. *)
+let estimate (r : Pool.run) = float_of_int r.Pool.hits /. float_of_int r.Pool.completed
+
 let inflationary_query src db =
   let parsed = parse src in
   let event = Option.get parsed.Parser.event in
@@ -166,7 +169,7 @@ let test_samples_needed () =
 let test_sample_inflationary_close () =
   let q, init = inflationary_query reach_src fork_db in
   let rng = Random.State.make [| 1 |] in
-  let p = Sample_inflationary.eval ~samples:4000 rng q init in
+  let p = estimate (Sample_inflationary.run_samples ~samples:4000 rng q init) in
   Alcotest.(check bool) "close to 1/2" true (abs_float (p -. 0.5) < 0.05)
 
 let test_sample_inflationary_ctable () =
@@ -189,7 +192,10 @@ let test_sample_inflationary_ctable () =
   in
   let q = Inflationary.of_forever_unchecked (Forever.make ~kernel ~event) in
   let rng = Random.State.make [| 2 |] in
-  let p = Sample_inflationary.eval ~init_sampler:sampler ~samples:4000 rng q Database.empty in
+  let p =
+    estimate
+      (Sample_inflationary.run_samples ~init_sampler:sampler ~samples:4000 rng q Database.empty)
+  in
   Alcotest.(check bool) "close to 1/4" true (abs_float (p -. 0.25) < 0.05)
 
 (* --- Non-inflationary exact (Prop 5.4 / Thm 5.5) ------------------------ *)
@@ -274,7 +280,7 @@ let test_sample_noninflationary () =
     | None -> Alcotest.fail "walk chain should mix"
   in
   Alcotest.(check bool) "small burn-in" true (burn_in < 100);
-  let p = Sample_noninflationary.eval rng ~burn_in ~samples:4000 q init in
+  let p = estimate (Sample_noninflationary.run_samples rng ~burn_in ~samples:4000 q init) in
   Alcotest.(check bool) "close to 2/3" true (abs_float (p -. (2. /. 3.)) < 0.05)
 
 let test_sample_time_average () =
@@ -552,9 +558,23 @@ let test_pool_map_tasks () =
       Alcotest.(check (array int)) "results in task order" expected got)
     [ 1; 2; 4; 64 ]
 
-let test_pool_count_hits_deterministic () =
+(* More domains than the runtime can hold at once (128 in OCaml 5.1): the
+   pool clamps to the machine's parallelism instead of failing midway.  The
+   tasks sleep so that unclamped spawns would all be alive together. *)
+let test_pool_map_tasks_clamped () =
+  let task i () =
+    Unix.sleepf 0.01;
+    i * i
+  in
+  let got = Pool.map_tasks ~domains:200 (Array.init 200 task) in
+  Alcotest.(check (array int)) "200 results in task order" (Array.init 200 (fun i -> i * i)) got
+
+let hits_at ~domains ~samples seed run =
+  (Pool.run_samples ~domains ~samples (Random.State.make [| seed |]) run).Pool.hits
+
+let test_pool_run_samples_deterministic () =
   let run rng = Random.State.float rng 1.0 < 0.3 in
-  let hits d = Pool.count_hits ~domains:d ~samples:500 (Random.State.make [| 9 |]) run in
+  let hits d = hits_at ~domains:d ~samples:500 9 run in
   let h1 = hits 1 in
   Alcotest.(check bool) "plausible count" true (h1 > 80 && h1 < 230);
   List.iter
@@ -564,7 +584,9 @@ let test_pool_count_hits_deterministic () =
 let test_par_inflationary_deterministic () =
   let q, init = inflationary_query reach_src fork_db in
   let est d seed =
-    Sample_inflationary.eval_par ~domains:d ~samples:400 (Random.State.make [| seed |]) q init
+    estimate
+      (Sample_inflationary.run_samples ~domains:d ~samples:400 (Random.State.make [| seed |]) q
+         init)
   in
   let e = est 1 3 in
   Alcotest.(check (float 0.0)) "rerun bit-identical" e (est 1 3);
@@ -582,8 +604,9 @@ let test_par_noninflationary_deterministic () =
   in
   let q, init = noninflationary_query "?C(Y) @W :- v(Y, W). ?- C(b)." db in
   let est d =
-    Sample_noninflationary.eval_par (Random.State.make [| 5 |]) ~domains:d ~burn_in:7
-      ~samples:400 q init
+    estimate
+      (Sample_noninflationary.run_samples (Random.State.make [| 5 |]) ~domains:d ~burn_in:7
+         ~samples:400 q init)
   in
   let e = est 1 in
   Alcotest.(check (float 0.0)) "domains=2 identical" e (est 2);
@@ -608,7 +631,7 @@ let test_pool_worker_error () =
         true
       in
       try
-        ignore (Pool.count_hits ~domains ~samples:40 (Random.State.make [| 1 |]) run);
+        ignore (hits_at ~domains ~samples:40 1 run);
         Alcotest.fail "expected Worker_error"
       with Pool.Worker_error { shard; completed; exn = Failure _; _ } ->
         Alcotest.(check bool) "shard in range" true (shard >= 0 && shard < 32);
@@ -628,7 +651,7 @@ let test_pool_parity_edges () =
   List.iter
     (fun samples ->
       let run rng = Random.State.float rng 1.0 < 0.37 in
-      let hits d = Pool.count_hits ~domains:d ~samples (Random.State.make [| 13 |]) run in
+      let hits d = hits_at ~domains:d ~samples 13 run in
       let h = hits 1 in
       List.iter
         (fun d ->
@@ -637,13 +660,13 @@ let test_pool_parity_edges () =
     [ 1; 5; 31; 32; 33 ]
 
 let prop_pool_parity =
-  QCheck.Test.make ~name:"count_hits: fixed seed gives equal hits at domains 1/2/4" ~count:60
+  QCheck.Test.make ~name:"run_samples: fixed seed gives equal hits at domains 1/2/4" ~count:60
     (QCheck.make
        ~print:(fun (s, seed) -> Printf.sprintf "samples=%d seed=%d" s seed)
        QCheck.Gen.(pair (int_range 1 80) (int_bound 1000)))
     (fun (samples, seed) ->
       let run rng = Random.State.float rng 1.0 < 0.37 in
-      let hits d = Pool.count_hits ~domains:d ~samples (Random.State.make [| seed |]) run in
+      let hits d = hits_at ~domains:d ~samples seed run in
       let h = hits 1 in
       h = hits 2 && h = hits 4)
 
@@ -727,35 +750,166 @@ let test_engine_exact_product_4x4x4 () =
   Alcotest.check q_t "1/4" (Q.of_ints 1 4) (Option.get r.Engine.exact)
 
 let test_engine_plan_vs_interpreted () =
-  (* The plan flag is pure mechanism: every engine gives the same exact
-     rational, and every sampler the same fixed-seed estimate. *)
-  let inf = parse "C(v) :- .\nC2(<X>, Y) :- C(X), e(X, Y).\nC(Y) :- C2(X, Y).\ne(v, w).\ne(v, u).\n?- C(w)." in
-  let noninf =
-    parse "?C(Y) @W :- C(X), e(X, Y, W).\nC(a).\ne(a, b, 1).\ne(b, a, 1).\ne(b, b, 1).\n?- C(b)."
+  (* The engine always runs compiled plans: every exact answer equals the
+     uncompiled kernel's, and every fixed-seed estimate the uncompiled
+     sampler's on the same seed. *)
+  let inf = reach_src ^ "\ne(v, w).\ne(v, u)." in
+  let noninf = walk_src ^ "\nC(a).\ne(a, b, 1).\ne(b, a, 1).\ne(b, b, 1)." in
+  let reference compile src =
+    let parsed = parse src in
+    let kernel, init =
+      compile parsed.Parser.program (Parser.database_of_facts parsed.Parser.facts)
+    in
+    (Forever.make ~kernel ~event:(Option.get parsed.Parser.event), init)
   in
-  let check_exact name ~semantics ~method_ parsed =
-    let run plan = Engine.run ~plan ~semantics ~method_ parsed in
-    let a = run true and b = run false in
-    Alcotest.check q_t name (Option.get b.Engine.exact) (Option.get a.Engine.exact)
+  let iq, iinit = reference Compile.inflationary_kernel inf in
+  let iq = Inflationary.of_forever iq in
+  let nq, ninit = reference Compile.noninflationary_kernel noninf in
+  let engine ?domains ~semantics method_ src =
+    Engine.run ~seed:13 ?domains ~semantics ~method_ (parse src)
   in
-  check_exact "inflationary exact" ~semantics:Engine.Inflationary ~method_:Engine.Exact inf;
-  check_exact "noninflationary exact" ~semantics:Engine.Noninflationary ~method_:Engine.Exact
-    noninf;
-  check_exact "noninflationary lumped" ~semantics:Engine.Noninflationary
-    ~method_:Engine.Exact_lumped noninf;
+  let exact ~semantics method_ src = Option.get (engine ~semantics method_ src).Engine.exact in
+  Alcotest.check q_t "inflationary exact" (Exact_inflationary.eval iq iinit)
+    (exact ~semantics:Engine.Inflationary Engine.Exact inf);
+  Alcotest.check q_t "noninflationary exact" (Exact_noninflationary.eval nq ninit)
+    (exact ~semantics:Engine.Noninflationary Engine.Exact noninf);
+  Alcotest.check q_t "noninflationary lumped" (Exact_noninflationary.eval nq ninit)
+    (exact ~semantics:Engine.Noninflationary Engine.Exact_lumped noninf);
   let sampling = Engine.Sampling { eps = 0.1; delta = 0.1; burn_in = 8 } in
-  let check_sampled name ?domains ~semantics parsed =
-    let run plan = Engine.run ~plan ~seed:13 ?domains ~semantics ~method_:sampling parsed in
-    Alcotest.(check (float 0.0)) name (run false).Engine.probability (run true).Engine.probability
+  let samples = Sample_inflationary.samples_needed ~eps:0.1 ~delta:0.1 in
+  let rng () = Random.State.make [| 13 |] in
+  let inf_ref = estimate (Sample_inflationary.run_samples ~samples (rng ()) iq iinit) in
+  let noninf_ref =
+    estimate (Sample_noninflationary.run_samples (rng ()) ~burn_in:8 ~samples nq ninit)
   in
-  check_sampled "inflationary sampling" ~semantics:Engine.Inflationary inf;
-  check_sampled "noninflationary sampling" ~semantics:Engine.Noninflationary noninf;
-  check_sampled "inflationary sampling, 2 domains" ~domains:2 ~semantics:Engine.Inflationary inf;
-  check_sampled "noninflationary sampling, 4 domains" ~domains:4 ~semantics:Engine.Noninflationary
-    noninf;
-  let r = Engine.run ~semantics:Engine.Inflationary ~method_:Engine.Exact inf in
-  Alcotest.(check (option string)) "plan diagnostic on by default" (Some "true")
-    (List.assoc_opt "plan" r.Engine.diagnostics)
+  List.iter
+    (fun domains ->
+      let sampled ~semantics src = (engine ~domains ~semantics sampling src).Engine.probability in
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "inflationary sampling, %d domains" domains)
+        inf_ref
+        (sampled ~semantics:Engine.Inflationary inf);
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "noninflationary sampling, %d domains" domains)
+        noninf_ref
+        (sampled ~semantics:Engine.Noninflationary noninf))
+    [ 1; 2; 4 ]
+
+(* Every shipped example program: the engine's exact answer (compiled
+   plans, semi-naive deltas) is Q-equal to the uncompiled kernel's, and on
+   inflationary inputs the plans stepped without deltas agree with the
+   semi-naive stepper.  Walk kernels and re-flipped pc-tables only make
+   sense non-inflationary; everything else runs inflationary. *)
+let test_examples_engine_vs_reference () =
+  let dir = "../examples/programs" in
+  let files =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".pdl")
+    |> List.sort compare
+  in
+  Alcotest.(check bool) "example programs found" true (List.length files >= 8);
+  List.iter
+    (fun file ->
+      let parsed = Parser.parse_file (Filename.concat dir file) in
+      let semantics =
+        match file with
+        | "coin_flip.pdl" | "walk_distribution.pdl" -> Engine.Noninflationary
+        | _ -> Engine.Inflationary
+      in
+      let program = parsed.Parser.program in
+      let db = Parser.database_of_facts parsed.Parser.facts in
+      let ctable = Parser.ctable_of parsed in
+      List.iter
+        (fun event ->
+          let what = Format.asprintf "%s %a" file Event.pp event in
+          let engine =
+            Engine.run ~semantics ~method_:Engine.Exact
+              { parsed with Parser.event = Some event; events = [ event ] }
+          in
+          let reference =
+            match (semantics, ctable) with
+            | Engine.Inflationary, Some ct -> Exact_inflationary.eval_ctable ~program ~event ct
+            | Engine.Inflationary, None ->
+              let kernel, init = Compile.inflationary_kernel program db in
+              let fq = Forever.make ~kernel ~event in
+              let eval fq = Exact_inflationary.eval (Inflationary.of_forever_unchecked fq) init in
+              let schema_of = Compile.schema_of_database init in
+              let semi =
+                Seminaive.install (Seminaive.compile ~schema_of program)
+                  (Forever.compile ~schema_of fq)
+              in
+              Alcotest.check q_t (what ^ ": without deltas = semi-naive") (eval semi)
+                (eval (Forever.without_delta semi));
+              eval fq
+            | Engine.Noninflationary, _ ->
+              let kernel, init =
+                match ctable with
+                | Some ct -> Compile.noninflationary_kernel_ctable program ct
+                | None -> Compile.noninflationary_kernel program db
+              in
+              Exact_noninflationary.eval (Forever.make ~kernel ~event) init
+          in
+          Alcotest.check q_t (what ^ ": engine = uncompiled reference") reference
+            (Option.get engine.Engine.exact))
+        parsed.Parser.events)
+    files
+
+(* --- the (eps, delta) guarantee, checked statistically ------------------ *)
+
+(* Thm 4.3 / Thm 5.6 promise Pr(|estimate - p| > eps) <= delta per run.  Over
+   N = 200 pinned seeds at eps = delta = 0.1 the number of misses is then
+   stochastically below Binomial(200, 0.1), whose mean is 20; the test allows
+   delta N + 3 sqrt(N delta (1 - delta)) = 32.7, i.e. at most 32 misses.  A
+   sampler that exactly met its guarantee would exceed that with probability
+   0.29% (the binomial tail P(X >= 33)); the seeds are pinned, so the outcome
+   itself is deterministic. *)
+let check_eps_delta ~what ~semantics ~burn_in ~expected src =
+  let eps = 0.1 and delta = 0.1 and n = 200 in
+  let parsed = parse src in
+  let misses = ref 0 in
+  for seed = 1 to n do
+    let r =
+      Engine.run ~seed ~semantics ~method_:(Engine.Sampling { eps; delta; burn_in }) parsed
+    in
+    if abs_float (r.Engine.probability -. Q.to_float expected) > eps then incr misses
+  done;
+  let allowed =
+    let nf = float_of_int n in
+    int_of_float ((delta *. nf) +. (3.0 *. sqrt (nf *. delta *. (1.0 -. delta))))
+  in
+  Alcotest.(check int) "allowed misses" 32 allowed;
+  if !misses > allowed then
+    Alcotest.failf "%s: %d of %d estimates more than eps off (at most %d allowed)" what !misses
+      n allowed
+
+let test_eps_delta_inflationary () =
+  (* An uncertain line of 2 edges: reachable end with probability 1/4. *)
+  let n = 2 in
+  let b = Buffer.create 256 in
+  for i = 1 to n do
+    Buffer.add_string b
+      (Printf.sprintf "var e%d = { true: 1/2, false: 1/2 }.\nedge(v%d, v%d) when e%d = true.\n" i
+         (i - 1) i i)
+  done;
+  Buffer.add_string b (Printf.sprintf "R(v0) :- .\nR(Y) :- R(X), edge(X, Y).\n?- R(v%d)." n);
+  check_eps_delta ~what:"uncertain line" ~semantics:Engine.Inflationary ~burn_in:0
+    ~expected:(Workload.Uncertain.expected_line ~n) (Buffer.contents b)
+
+let test_eps_delta_noninflationary () =
+  (* A walk on the complete digraph with self-loops and equal weights: from
+     any node the next one is uniform, so after one step the chain is
+     exactly stationary and the walker sits at n0 with probability 1/k. *)
+  let k = 3 in
+  let facts =
+    List.map
+      (fun { Workload.Graphs.src; dst; weight } ->
+        Printf.sprintf "e(%s, %s, %d).\n" (Workload.Graphs.node_name src)
+          (Workload.Graphs.node_name dst) weight)
+      (Workload.Graphs.complete k)
+  in
+  let src = String.concat "" facts ^ "C(n1).\n" ^ Workload.Graphs.walk_source ~target:0 in
+  check_eps_delta ~what:"complete-graph walk" ~semantics:Engine.Noninflationary ~burn_in:1
+    ~expected:(Q.of_ints 1 k) src
 
 (* --- Time-average burn-in (satellite of the metrics layer PR) ----------- *)
 
@@ -821,7 +975,8 @@ let test_engine_divergence_sequential () =
          parsed);
     Alcotest.fail "expected Engine_error"
   with Engine.Engine_error msg ->
-    Alcotest.(check bool) "names the sequential sampler" true (contains msg "sequential sampler");
+    (* One domain runs the shards in order: shard 0 diverges first. *)
+    Alcotest.(check bool) "names shard 0" true (contains msg "shard 0,");
     Alcotest.(check bool) "names the step bound" true (contains msg "1 steps")
 
 let test_engine_divergence_parallel () =
@@ -918,7 +1073,8 @@ let () =
         ] );
       ( "pool",
         [ Alcotest.test_case "map_tasks order" `Quick test_pool_map_tasks;
-          Alcotest.test_case "count_hits deterministic" `Quick test_pool_count_hits_deterministic;
+          Alcotest.test_case "map_tasks clamps domains" `Quick test_pool_map_tasks_clamped;
+          Alcotest.test_case "run_samples deterministic" `Quick test_pool_run_samples_deterministic;
           Alcotest.test_case "worker error surfaces shard" `Quick test_pool_worker_error;
           Alcotest.test_case "parity at sub-shard sizes" `Quick test_pool_parity_edges;
           QCheck_alcotest.to_alcotest prop_pool_parity;
@@ -939,6 +1095,12 @@ let () =
           Alcotest.test_case "lumped 3x3x4 product (engine)" `Quick test_engine_lumped_product;
           Alcotest.test_case "exact 4x4x4 product (engine)" `Quick test_engine_exact_product_4x4x4;
           Alcotest.test_case "plan vs interpreted" `Slow test_engine_plan_vs_interpreted;
+          Alcotest.test_case "examples: engine = uncompiled reference" `Slow
+            test_examples_engine_vs_reference;
+          Alcotest.test_case "Thm 4.3 (eps, delta) over 200 seeds" `Slow
+            test_eps_delta_inflationary;
+          Alcotest.test_case "Thm 5.6 (eps, delta) over 200 seeds" `Slow
+            test_eps_delta_noninflationary;
           Alcotest.test_case "time-average burn-in" `Quick test_time_average_burn_in;
           Alcotest.test_case "time-average via engine" `Quick test_engine_time_average;
           Alcotest.test_case "divergence (sequential)" `Quick test_engine_divergence_sequential;

@@ -480,7 +480,7 @@ let test_engine_partial_agrees_with_prefix () =
       (Lang.Forever.make ~kernel ~event:(Option.get parsed.Lang.Parser.event))
   in
   let r =
-    Eval.Sample_noninflationary.run_samples_par (Random.State.make [| 4 |]) ~domains:2
+    Eval.Sample_noninflationary.run_samples (Random.State.make [| 4 |]) ~domains:2
       ~burn_in:10 ~samples:25 query init
   in
   Alcotest.(check (float 0.0)) "prefix estimate"
@@ -576,13 +576,13 @@ let prop_budget_soundness =
       in
       let samples = 100 in
       let clean d =
-        Eval.Sample_inflationary.run_samples_par ~domains:d ~samples
+        Eval.Sample_inflationary.run_samples ~domains:d ~samples
           (Random.State.make [| seed |])
           q init
       in
       let guard = Guard.make ~max_samples:budget () in
       let governed d =
-        Eval.Sample_inflationary.run_samples_par ~guard ~domains:d ~samples
+        Eval.Sample_inflationary.run_samples ~guard ~domains:d ~samples
           (Random.State.make [| seed |])
           q init
       in
@@ -616,13 +616,13 @@ let prop_resume_identity =
       let samples = 60 in
       let path = tmp_path (Printf.sprintf "guard_prop_resume_%d.ckpt" seed) in
       let full =
-        Eval.Sample_inflationary.run_samples_par ~domains:2 ~samples
+        Eval.Sample_inflationary.run_samples ~domains:2 ~samples
           (Random.State.make [| seed |])
           q init
       in
       let guard = Guard.make ~max_samples:23 () in
       let _ =
-        Eval.Sample_inflationary.run_samples_par ~guard
+        Eval.Sample_inflationary.run_samples ~guard
           ~ckpt:{ Pool.path; key = "prop"; resume = None }
           ~domains:2 ~samples
           (Random.State.make [| seed |])
@@ -630,7 +630,7 @@ let prop_resume_identity =
       in
       let saved = Guard.Checkpoint.load path in
       let resumed =
-        Eval.Sample_inflationary.run_samples_par
+        Eval.Sample_inflationary.run_samples
           ~ckpt:{ Pool.path; key = "prop"; resume = Some saved }
           ~domains:2 ~samples
           (Random.State.make [| seed |])

@@ -83,7 +83,13 @@ let test_eval_kernel_stationary () =
 let test_sample_kernel () =
   let event = Event.make "C" [ v_str "b" ] in
   let rng = Random.State.make [| 3 |] in
-  let p = Eval.Sample_noninflationary.eval_kernel rng ~burn_in:20 ~samples:2000 ~kernel:k ~event init in
+  (* Independent restarts of 20 composite-kernel steps each. *)
+  let hits = ref 0 in
+  for _ = 1 to 2000 do
+    let rec go db n = if n = 0 then db else go (Kernel.sample k rng db) (n - 1) in
+    if Event.holds event (go init 20) then incr hits
+  done;
+  let p = float_of_int !hits /. 2000.0 in
   Alcotest.(check bool) "sampled near 1/2" true (abs_float (p -. 0.5) < 0.05)
 
 let test_mixture_mcmc_coloring () =

@@ -384,7 +384,8 @@ let pool_run ~domains =
   Obs.Series.set_enabled true;
   let rng = Random.State.make [| 11 |] in
   let hits =
-    Eval.Pool.count_hits ~domains ~samples:500 rng (fun rng -> Random.State.float rng 1.0 < 0.3)
+    (Eval.Pool.run_samples ~domains ~samples:500 rng (fun rng -> Random.State.float rng 1.0 < 0.3))
+      .Eval.Pool.hits
   in
   let merged = Obs.Series.merged () in
   Obs.Series.set_enabled false;
@@ -405,7 +406,7 @@ let test_pool_series_estimates_sane () =
   Obs.Series.reset ();
   Obs.Series.set_enabled true;
   let rng = Random.State.make [| 5 |] in
-  ignore (Eval.Pool.count_hits ~domains:2 ~samples:400 rng (fun rng -> Random.State.bool rng));
+  ignore (Eval.Pool.run_samples ~domains:2 ~samples:400 rng (fun rng -> Random.State.bool rng));
   let merged = Obs.Series.merged () in
   Obs.Series.set_enabled false;
   Obs.Series.reset ();

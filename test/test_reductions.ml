@@ -131,13 +131,15 @@ let test_noninf_sat_reaches_done () =
   (* Satisfiable: sampling the walk must hit Done quickly and latch. *)
   let q, init = noninf_query simple in
   let rng = Random.State.make [| 7 |] in
-  let p = Eval.Sample_noninflationary.eval rng ~burn_in:40 ~samples:200 q init in
+  let r = Eval.Sample_noninflationary.run_samples rng ~burn_in:40 ~samples:200 q init in
+  let p = float_of_int r.Eval.Pool.hits /. 200.0 in
   Alcotest.(check bool) "p near 1" true (p > 0.95)
 
 let test_noninf_unsat_never_done () =
   let q, init = noninf_query contradiction in
   let rng = Random.State.make [| 8 |] in
-  let p = Eval.Sample_noninflationary.eval rng ~burn_in:40 ~samples:200 q init in
+  let r = Eval.Sample_noninflationary.run_samples rng ~burn_in:40 ~samples:200 q init in
+  let p = float_of_int r.Eval.Pool.hits /. 200.0 in
   Alcotest.(check (float 0.0)) "exactly 0" 0.0 p
 
 let test_noninf_done_latches () =

@@ -260,6 +260,35 @@ let test_server_end_to_end () =
         (match obj (get tenants "t1") with
          | o -> ( match get o "served" with J.Int n -> n >= 3 | _ -> false)))
 
+(* Out-of-range sampling parameters are refused before any sampling starts:
+   a negative burn-in used to walk forever between two guard polls, pinning
+   the session beyond the reach of cancel. *)
+let test_invalid_sampling_params () =
+  with_server (fun path _t ->
+      let c = Serve.Client.connect_unix ~retry_ms:2000 path in
+      Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
+      List.iter
+        (fun (what, fields) ->
+          let resp =
+            obj
+              (Serve.Client.rpc_json c
+                 (Serve.Jsonr.parse
+                    (Printf.sprintf
+                       {|{"op":"estimate","id":"bad","tenant":"t1","semantics":"noninflationary",%s,"source":"?C(Y) @W :- C(X), e(X, Y, W). C(a). e(a, b, 1). e(b, a, 1). ?- C(b)."}|}
+                       fields)))
+          in
+          Alcotest.check json (what ^ ": refused") (J.Bool false) (get resp "ok");
+          Alcotest.check json (what ^ ": eval error") (J.Str "eval") (get resp "code"))
+        [ ("burn_in -1", {|"burn_in":-1|});
+          ("eps 0", {|"eps":0|});
+          ("delta 1.5", {|"delta":1.5|});
+          ("time-average steps 0", {|"method":"time-average","steps":0|})
+        ];
+      (* The session is still serving. *)
+      ignore
+        (check_ok
+           (Serve.Client.rpc_json c (Serve.Jsonr.parse {|{"op":"ping","id":"p","tenant":"t1"}|}))))
+
 (* --- per-tenant budgets, cancellation, admission --------------------------- *)
 
 (* A slow request: pool-sharded sampling with an injected per-sample delay
@@ -1479,6 +1508,8 @@ let () =
         [ Alcotest.test_case "hits, misses, fingerprints" `Quick test_plan_cache ] );
       ( "server",
         [ Alcotest.test_case "load/query/estimate/stats/cancel" `Quick test_server_end_to_end;
+          Alcotest.test_case "invalid sampling parameters refused" `Quick
+            test_invalid_sampling_params;
           Alcotest.test_case "cancel an in-flight request" `Quick test_cancel_inflight;
           Alcotest.test_case "per-tenant admission control" `Quick test_admission_control;
           Alcotest.test_case "per-tenant budget degrades per class" `Quick
