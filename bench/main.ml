@@ -66,21 +66,40 @@ let multi_walker_db sizes =
     (Database.empty, 0) sizes
   |> fst
 
-(* --- E1: exact inflationary evaluation blows up ------------------------- *)
+(* --- E1: exact inflationary evaluation over pc-tables -------------------- *)
 
 let e1 () =
   header "E1" "exact inflationary evaluation over pc-tables (Table 1, rows 1-2, exact column)";
   Format.printf "uncertain line graph v0..vn, each edge present w.p. 1/2; Pr[vn reached] = 1/2^n@.";
-  Format.printf "%4s %10s %14s %10s@." "n" "worlds" "exact p" "ms";
+  Format.printf "%4s %10s %14s %10s %11s %6s@." "n" "worlds" "exact p" "worlds ms" "lineage ms" "nodes";
+  let lineage ct program event =
+    time_ms (fun () -> Eval.Exact_inflationary.eval_ctable_method ~program ~event ct)
+  in
+  let nodes = function Eval.Exact_inflationary.Lineage { nodes } -> nodes | Worlds -> 0 in
   List.iter
     (fun n ->
       let ct, program, event = Workload.Uncertain.uncertain_line ~n in
-      let p, ms = time_ms (fun () -> Eval.Exact_inflationary.eval_ctable ~program ~event ct) in
-      assert (Q.equal p (Workload.Uncertain.expected_line ~n));
+      let p, ms = time_ms (fun () -> Eval.Exact_inflationary.eval_ctable_worlds ~program ~event ct) in
+      let (pl, how), lms = lineage ct program event in
+      assert (Q.equal p (Workload.Uncertain.expected_line ~n) && Q.equal pl p);
       Bench_json.record ~id:"E1/exact-inflationary" ~n ~ms;
-      Format.printf "%4d %10d %14s %10.2f@." n (Prob.Ctable.num_worlds ct) (Q.to_string p) ms)
+      Bench_json.record ~id:"E1/lineage" ~n ~ms:lms;
+      Format.printf "%4d %10d %14s %10.2f %11.3f %6d@." n (Prob.Ctable.num_worlds ct) (Q.to_string p) ms
+        lms (nodes how))
     [ 2; 4; 6; 8; 10; 12 ];
-  Format.printf "shape: runtime doubles with every variable (exponential in the database).@."
+  Format.printf "shape: enumeration doubles with every variable; the line's lineage is read-once,@.";
+  Format.printf "so its diagram has n + 2 nodes and the lineage column grows linearly.@.";
+  Format.printf "@.non-hierarchical R(x), S(x,y), T(y) over a k x k grid (lineage only):@.";
+  Format.printf "%4s %10s %24s %11s %6s@." "k" "variables" "exact p" "lineage ms" "nodes";
+  List.iter
+    (fun k ->
+      let ct, program, event = Workload.Uncertain.uncertain_grid ~k in
+      let (p, how), lms = lineage ct program event in
+      Bench_json.record ~id:"E1/grid-lineage" ~n:k ~ms:lms;
+      Format.printf "%4d %10d %24s %11.3f %6d@." k (List.length (Prob.Ctable.vars ct)) (Q.to_string p) lms
+        (nodes how))
+    [ 2; 3; 4; 5 ];
+  Format.printf "shape: #P-hard in general (Dalvi-Suciu); the grid's diagram outgrows the line's.@."
 
 (* --- E2: randomized absolute approximation is PTIME (Thm 4.3) ----------- *)
 
@@ -858,7 +877,7 @@ let e20 () =
   List.iter
     (fun n ->
       let ct, program, event = Workload.Uncertain.uncertain_line ~n in
-      let run plan () = Eval.Exact_inflationary.eval_ctable ~plan ~program ~event ct in
+      let run plan () = Eval.Exact_inflationary.eval_ctable_worlds ~plan ~program ~event ct in
       let pi, ims = best_of 3 (run false) in
       let pc, cms = best_of 3 (run true) in
       assert (Q.equal pi pc);
@@ -968,7 +987,7 @@ let e21 () =
   (* E1 workload: exact inflationary over all worlds, compiled plans. *)
   (let n = 12 in
    let ct, program, event = Workload.Uncertain.uncertain_line ~n in
-   let run () = Eval.Exact_inflationary.eval_ctable ~plan:true ~program ~event ct in
+   let run () = Eval.Exact_inflationary.eval_ctable_worlds ~plan:true ~program ~event ct in
    let vo, mso, von, mson = measure 7 run in
    assert (Q.equal vo von);
    row "e1-exact-worlds" n mso mson
@@ -1061,7 +1080,7 @@ let e22 () =
   (* E1 workload: the exact engine records the per-visit saturation series. *)
   (let n = 12 in
    let ct, program, event = Workload.Uncertain.uncertain_line ~n in
-   let run () = Eval.Exact_inflationary.eval_ctable ~plan:true ~program ~event ct in
+   let run () = Eval.Exact_inflationary.eval_ctable_worlds ~plan:true ~program ~event ct in
    let vo, mso, von, mson = measure 7 run in
    assert (Q.equal vo von);
    row "e1-exact-worlds" n mso mson (telemetry ()));
@@ -1138,9 +1157,9 @@ let e23 () =
      memoised fixpoint evaluation). *)
   (let n = 12 in
    let ct, program, event = Workload.Uncertain.uncertain_line ~n in
-   let off () = Eval.Exact_inflationary.eval_ctable ~plan:true ~program ~event ct in
+   let off () = Eval.Exact_inflationary.eval_ctable_worlds ~plan:true ~program ~event ct in
    let on () =
-     Eval.Exact_inflationary.eval_ctable ~guard:(huge_guard ()) ~plan:true ~program ~event ct
+     Eval.Exact_inflationary.eval_ctable_worlds ~guard:(huge_guard ()) ~plan:true ~program ~event ct
    in
    let vo, mso, von, mson = measure 7 off on in
    assert (Q.equal vo von);
@@ -1367,7 +1386,7 @@ let e25 () =
   (* --- macros: E1 / E4 / E5 shapes end-to-end on the columnar plane ----- *)
   Format.printf "@.macro rows (end-to-end on the columnar plane):@.";
   (let ct, program, event = Workload.Uncertain.uncertain_line ~n:10 in
-   let p, ms = time_ms (fun () -> Eval.Exact_inflationary.eval_ctable ~program ~event ct) in
+   let p, ms = time_ms (fun () -> Eval.Exact_inflationary.eval_ctable_worlds ~program ~event ct) in
    assert (Q.equal p (Workload.Uncertain.expected_line ~n:10));
    Bench_json.record ~id:"E25/e1-macro" ~n:10 ~ms;
    Format.printf "e1-macro: exact inflationary n=10 in %.2f ms@." ms);

@@ -81,7 +81,17 @@ if doc["outcome"].get("status") not in ("complete", "partial"):
   | check_stats_json coin_flip.pdl
 "$PROBMC" estimate --target b0 --start a0 --samples 200 --burn-in 50 --stats-json \
   examples/chains/barbell.mc | check_stats_json barbell.mc
-echo "ok: --stats-json documents parse with engine/steps/draws/elapsed_ms/outcome/downgrade"
+# A positive pc-table program is answered by one lineage fixpoint.
+"$PROBDL" run examples/programs/uncertain_reach.pdl --stats-json \
+  | check_stats_json uncertain_reach.pdl
+"$PROBDL" run examples/programs/uncertain_reach.pdl --stats-json | python3 -c '
+import json, sys
+doc = json.load(sys.stdin)
+method, exact = doc["diagnostics"].get("pc-table method"), doc["exact"]
+if method != "lineage" or exact != "1/8":
+    sys.exit(f"pc-table method {method!r}, exact {exact!r}: want lineage, 1/8")
+' || { echo "lineage stats check failed for uncertain_reach.pdl" >&2; exit 1; }
+echo "ok: --stats-json documents parse with engine/steps/draws/elapsed_ms/outcome/downgrade; pc-table lineage answers 1/8"
 
 echo "== trace smoke =="
 # --trace files must be valid Chrome trace-event JSON: known phase values,

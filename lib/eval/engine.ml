@@ -306,22 +306,30 @@ let prepare ?(magic = false) ~semantics ~method_ (parsed : Lang.Parser.parsed) =
           mk ~probability:p
             [ ("steps", string_of_int steps); ("burn-in", string_of_int burn_in) ]
       | Inflationary, Exact, Some ct -> begin
-        (* pc-table input: choices are made once (Section 3.3), so average
-           the per-world exact answers. *)
-        let strat_diags = [ ("plan strategy", "semi-naive (shared delta plan)") ] in
+        (* pc-table input: choices are made once (Section 3.3), so the
+           answer is the world-weighted average — by one lineage fixpoint
+           when the program allows it, by enumeration otherwise. *)
+        let ct_diags =
+          [ ("pc-table worlds", Bigq.Bigint.to_string (Prob.Ctable.count_worlds ct));
+            ( "pc-table method",
+              if Exact_inflationary.lineage_applies program then "lineage" else "worlds" )
+          ]
+        in
         fun env ->
           match
             Obs.phase "evaluate" (fun () ->
-                Exact_inflationary.eval_ctable ~guard:env.env_guard ~plan:true ~program
+                Exact_inflationary.eval_ctable_method ~guard:env.env_guard ~plan:true ~program
                   ~event ct)
           with
-          | p ->
-            mk ~probability:(Q.to_float p) ?exact:(Some p)
-              ([ ("pc-table worlds", string_of_int (Prob.Ctable.num_worlds ct)) ]
-              @ strat_diags)
+          | p, how ->
+            let nodes =
+              match how with
+              | Exact_inflationary.Lineage { nodes } -> [ ("lineage nodes", string_of_int nodes) ]
+              | Exact_inflationary.Worlds -> []
+            in
+            mk ~probability:(Q.to_float p) ?exact:(Some p) (ct_diags @ nodes)
           | exception Guard.Exhausted reason ->
-            on_exhausted_exact env reason
-              ~diags:[ ("pc-table worlds", string_of_int (Prob.Ctable.num_worlds ct)) ]
+            on_exhausted_exact env reason ~diags:ct_diags
               ~fallback:(fun ~eps ~delta ~burn_in:_ ~downgrade ->
                 let sampler = Sample_inflationary.ctable_sampler ~program ct in
                 let kernel, init0 =

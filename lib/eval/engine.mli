@@ -155,7 +155,11 @@ val run :
     once per program and executed every step; the exact inflationary
     engines step each fixpoint through semi-naive delta plans
     ({!Lang.Seminaive}), recorded in the report's diagnostics under
-    ["plan strategy"].  Sampling methods run on {!Pool.run_samples}:
+    ["plan strategy"].  Exact inflationary evaluation over a pc-table
+    reports ["pc-table method"] instead: ["lineage"] when the program has
+    no repair-key rule and no negated atom (one annotated fixpoint,
+    {!Exact_inflationary.eval_ctable}, with the event diagram's size under
+    ["lineage nodes"]), ["worlds"] otherwise.  Sampling methods run on {!Pool.run_samples}:
     [domains] (default 1) is how many OCaml domains the shards spread
     over, at most {!Pool.available}.  For a fixed [seed] the estimate is
     the same at every domain count, because the shards and their RNG

@@ -162,7 +162,8 @@ let eval_worlds ?guard ?(prepare = Fun.id) query worlds =
   Q.sum
     (List.map (fun (db, p) -> Q.mul p (eval ?guard query (prepare db))) (Dist.support worlds))
 
-let eval_ctable ?guard ?(plan = false) ~program ~event ctable =
+(* Prop 4.4 literally: one fixpoint per world of the c-table. *)
+let eval_ctable_worlds ?guard ?(plan = false) ~program ~event ctable =
   let worlds = Prob.Ctable.worlds ctable in
   match Dist.support worlds with
   | [] -> Q.zero
@@ -196,3 +197,65 @@ let eval_ctable ?guard ?(plan = false) ~program ~event ctable =
               stops the run. *)
            Q.mul p (eval ?guard q init))
          support)
+
+type ctable_method =
+  | Lineage of { nodes : int }
+  | Worlds
+
+let lineage_applies program =
+  List.for_all
+    (fun (r : Lang.Datalog.rule) ->
+      (not (Lang.Datalog.is_probabilistic_rule r)) && List.is_empty r.Lang.Datalog.neg)
+    program
+
+(* Without repair-key and negation every world's fixpoint is the least
+   model of the program, so the event holds in exactly the worlds its
+   lineage accepts: saturate once with decision-diagram annotations and
+   weigh the event's diagram. *)
+let eval_lineage ~guard ~program ~event ctable =
+  (* The enumeration compiles the kernel against every world; compiling it
+     against one keeps its schema and arity errors. *)
+  (match Seq.uncons (Prob.Ctable.valuations ctable) with
+   | Some (theta, _) ->
+     ignore (Lang.Compile.inflationary_kernel program (Prob.Ctable.instantiate ctable theta))
+   | None -> ());
+  let on_node = Option.value ~default:ignore (Guard.state_tick guard) in
+  let poll = Option.value ~default:ignore (Guard.stop_check guard) in
+  let m = Prob.Mdd.create ~on_node (Prob.Ctable.vars ctable) in
+  let base =
+    List.concat_map
+      (fun (name, _, rows) ->
+        List.filter_map
+          (fun (r : Prob.Ctable.row) ->
+            let d = Prob.Mdd.of_cond m r.Prob.Ctable.cond in
+            if Prob.Mdd.equal d Prob.Mdd.bot then None else Some (name, r.Prob.Ctable.tuple, d))
+          rows)
+      (Prob.Ctable.tables ctable)
+  in
+  let lineage =
+    { Saturate.one = Prob.Mdd.top;
+      conj = Prob.Mdd.conj m;
+      disj = Prob.Mdd.disj m;
+      equal = Prob.Mdd.equal
+    }
+  in
+  let facts = Saturate.run ~poll lineage program base in
+  let d =
+    Option.value ~default:Prob.Mdd.bot
+      (Saturate.find facts event.Lang.Event.relation event.Lang.Event.tuple)
+  in
+  if Obs.enabled () then begin
+    Obs.add (Obs.counter "engine.steps") (Saturate.rounds facts);
+    Obs.add (Obs.counter "engine.states") (Prob.Mdd.nodes_created m)
+  end;
+  (Prob.Mdd.prob m d, Prob.Mdd.size m d)
+
+let eval_ctable_method ?(guard = Guard.unlimited) ?plan ~program ~event ctable =
+  if lineage_applies program then begin
+    let p, nodes = eval_lineage ~guard ~program ~event ctable in
+    (p, Lineage { nodes })
+  end
+  else (eval_ctable_worlds ~guard ?plan ~program ~event ctable, Worlds)
+
+let eval_ctable ?guard ?plan ~program ~event ctable =
+  fst (eval_ctable_method ?guard ?plan ~program ~event ctable)

@@ -58,10 +58,50 @@ val eval_ctable :
   ?guard:Guard.t ->
   ?plan:bool ->
   program:Lang.Datalog.program -> event:Lang.Event.t -> Prob.Ctable.t -> Bigq.Q.t
-(** Convenience pipeline: compile the program under inflationary semantics
-    against each c-table world and average — the "even over probabilistic
-    c-tables" case of Proposition 4.4.  [plan] (default [false]) steps
-    every world's fixpoint through one shared compiled, semi-naive delta
-    plan instead of the interpreted kernel; the exact rational answer is
-    identical either way.  [guard]'s state budget spans
-    the whole world enumeration (one shared counter across worlds). *)
+(** The "even over probabilistic c-tables" case of Proposition 4.4: the
+    probability that the event holds at the fixpoint, averaged over the
+    c-table's worlds.
+
+    A program with no repair-key rule and no negated atom
+    ({!lineage_applies}) is answered by one annotated fixpoint
+    ({!Saturate}): every fact carries the decision diagram ({!Prob.Mdd})
+    of the worlds that derive it, and the answer is the event diagram's
+    probability.  [guard]'s state budget is charged one state per diagram
+    node created and its deadline is polled once per saturation round.
+
+    Any other program is compiled under inflationary semantics against
+    each world and the per-world answers are averaged.  [plan] (default
+    [false]) steps every world's fixpoint through one shared compiled,
+    semi-naive delta plan instead of the interpreted kernel; the exact
+    answer is identical either way.  [guard]'s state budget spans the
+    whole world enumeration (one shared counter across worlds).
+
+    Both paths give the same exact rational. *)
+
+val eval_ctable_worlds :
+  ?guard:Guard.t ->
+  ?plan:bool ->
+  program:Lang.Datalog.program -> event:Lang.Event.t -> Prob.Ctable.t -> Bigq.Q.t
+(** The enumeration path of {!eval_ctable} for any program: one exact
+    fixpoint per world.  [eval_ctable] takes it outside the lineage
+    fragment; the experiments call it to measure what lineage saves. *)
+
+val lineage_applies : Lang.Datalog.program -> bool
+(** No rule uses repair-key ({!Lang.Datalog.is_probabilistic_rule}) and no
+    rule has a negated atom: every world's fixpoint is then deterministic. *)
+
+type ctable_method =
+  | Lineage of { nodes : int }  (** the event diagram's {!Prob.Mdd.size} *)
+  | Worlds
+
+val eval_ctable_method :
+  ?guard:Guard.t ->
+  ?plan:bool ->
+  program:Lang.Datalog.program ->
+  event:Lang.Event.t ->
+  Prob.Ctable.t ->
+  Bigq.Q.t * ctable_method
+(** {!eval_ctable} together with the path it took.  On the lineage path,
+    when {!Obs} is enabled, saturation rounds are added to the
+    ["engine.steps"] counter and diagram nodes created to
+    ["engine.states"]. *)

@@ -2,7 +2,6 @@ module Q = Bigq.Q
 module Database = Relational.Database
 module Relation = Relational.Relation
 module Tuple = Relational.Tuple
-module Value = Relational.Value
 module Int_set = Set.Make (Int)
 
 (* --- Union-find over base tuple ids ----------------------------------- *)
@@ -23,102 +22,6 @@ let uf_union uf i j =
   let ri = uf_find uf i and rj = uf_find uf j in
   if ri <> rj then uf.parent.(ri) <- rj
 
-(* --- Fact store with provenance --------------------------------------- *)
-
-module Tuple_map = Map.Make (Tuple)
-
-type store = (string, Int_set.t Tuple_map.t ref) Hashtbl.t
-
-let store_find (store : store) pred =
-  match Hashtbl.find_opt store pred with
-  | Some m -> m
-  | None ->
-    let m = ref Tuple_map.empty in
-    Hashtbl.replace store pred m;
-    m
-
-(* Add a fact; returns true if the tuple is new or its provenance grew. *)
-let store_add store pred tuple prov =
-  let m = store_find store pred in
-  match Tuple_map.find_opt tuple !m with
-  | None ->
-    m := Tuple_map.add tuple prov !m;
-    true
-  | Some old ->
-    let merged = Int_set.union old prov in
-    if Int_set.equal merged old then false
-    else begin
-      m := Tuple_map.add tuple merged !m;
-      true
-    end
-
-(* --- Rule matching ----------------------------------------------------- *)
-
-(* Ground valuations of a body against the store: environments are
-   association lists variable -> value; provenance accumulates. *)
-let valuations store body =
-  let match_atom env prov (a : Lang.Datalog.atom) =
-    let facts = !(store_find store a.Lang.Datalog.pred) in
-    Tuple_map.fold
-      (fun tuple fact_prov acc ->
-        if Array.length tuple <> List.length a.Lang.Datalog.args then acc
-        else begin
-          let rec unify env i = function
-            | [] -> Some env
-            | arg :: rest -> (
-              let v = tuple.(i) in
-              match arg with
-              | Lang.Datalog.Const c -> if Value.equal c v then unify env (i + 1) rest else None
-              | Lang.Datalog.Var x -> (
-                match List.assoc_opt x env with
-                | Some bound -> if Value.equal bound v then unify env (i + 1) rest else None
-                | None -> unify ((x, v) :: env) (i + 1) rest))
-          in
-          match unify env 0 a.Lang.Datalog.args with
-          | Some env' -> (env', Int_set.union prov fact_prov) :: acc
-          | None -> acc
-        end)
-      facts []
-  in
-  List.fold_left
-    (fun partial atom ->
-      List.concat_map (fun (env, prov) -> match_atom env prov atom) partial)
-    [ ([], Int_set.empty) ]
-    body
-
-(* Evaluate a rule's comparison guards under an environment. *)
-let constraints_hold env (r : Lang.Datalog.rule) =
-  let value = function
-    | Lang.Datalog.Const c -> c
-    | Lang.Datalog.Var x -> (
-      match List.assoc_opt x env with
-      | Some v -> v
-      | None -> invalid_arg "unsafe constraint slipped past validation")
-  in
-  List.for_all
-    (fun (c : Lang.Datalog.constraint_) ->
-      let d = Value.compare (value c.Lang.Datalog.lhs) (value c.Lang.Datalog.rhs) in
-      match c.Lang.Datalog.cmp with
-      | Lang.Datalog.Eq -> d = 0
-      | Lang.Datalog.Ne -> d <> 0
-      | Lang.Datalog.Lt -> d < 0
-      | Lang.Datalog.Le -> d <= 0
-      | Lang.Datalog.Gt -> d > 0
-      | Lang.Datalog.Ge -> d >= 0)
-    r.Lang.Datalog.constraints
-
-let ground_head env (head : Lang.Datalog.head) =
-  Tuple.of_list
-    (List.map
-       (fun (ha : Lang.Datalog.head_arg) ->
-         match ha.Lang.Datalog.term with
-         | Lang.Datalog.Const c -> c
-         | Lang.Datalog.Var x -> (
-           match List.assoc_opt x env with
-           | Some v -> v
-           | None -> invalid_arg "unsafe rule slipped past validation"))
-       head.Lang.Datalog.hargs)
-
 (* --- Saturation -------------------------------------------------------- *)
 
 let base_tuples db =
@@ -126,36 +29,27 @@ let base_tuples db =
     (fun (name, r) -> List.rev (Relation.fold (fun t acc -> (name, t) :: acc) r []))
     (Database.bindings db)
 
+(* A fact's provenance is the set of base-tuple ids its derivations used:
+   joining body facts and collecting alternative derivations both take the
+   union. *)
+let provenance =
+  { Saturate.one = Int_set.empty;
+    conj = Int_set.union;
+    disj = Int_set.union;
+    equal = Int_set.equal
+  }
+
 let saturate_internal program db =
   let base = base_tuples db in
-  let store : store = Hashtbl.create 16 in
-  List.iteri
-    (fun i (name, t) -> ignore (store_add store name t (Int_set.singleton i)))
-    base;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (r : Lang.Datalog.rule) ->
-        let vs = valuations store r.Lang.Datalog.body in
-        List.iter
-          (fun (env, prov) ->
-            if constraints_hold env r then begin
-              let tuple = ground_head env r.Lang.Datalog.head in
-              if store_add store r.Lang.Datalog.head.Lang.Datalog.hpred tuple prov then
-                changed := true
-            end)
-          vs)
-      program
-  done;
-  (base, store)
+  let facts =
+    Saturate.run provenance program
+      (List.mapi (fun i (name, t) -> (name, t, Int_set.singleton i)) base)
+  in
+  (base, facts)
 
 let saturate program db =
-  let _, store = saturate_internal program db in
-  Hashtbl.fold
-    (fun pred m acc ->
-      Tuple_map.fold (fun t prov acc -> (pred, t, Int_set.elements prov) :: acc) !m acc)
-    store []
+  let _, facts = saturate_internal program db in
+  List.rev (Saturate.fold (fun pred t prov acc -> (pred, t, Int_set.elements prov) :: acc) facts [])
 
 let has_negation program =
   List.exists (fun (r : Lang.Datalog.rule) -> r.Lang.Datalog.neg <> []) program
@@ -166,19 +60,29 @@ let classes program db =
      single class (no partitioning). *)
   if has_negation program then [ base_tuples db ]
   else begin
-  let base, store = saturate_internal program db in
+  let base, facts = saturate_internal program db in
   let n = List.length base in
   let uf = uf_create n in
-  (* All base ids co-occurring in some fact's provenance interact. *)
+  (* All base ids co-occurring in some fact's provenance interact.  The
+     union order fixes which id roots each class, and with it the order the
+     classes are listed in: predicates are visited in the order of a
+     16-bucket string table filled in first-mention order, tuples in
+     ascending order. *)
+  let by_pred = Hashtbl.create 16 in
+  Saturate.fold
+    (fun pred _ prov () ->
+      let prev = Option.value ~default:[] (Hashtbl.find_opt by_pred pred) in
+      Hashtbl.replace by_pred pred (prov :: prev))
+    facts ();
   Hashtbl.iter
-    (fun _ m ->
-      Tuple_map.iter
-        (fun _ prov ->
+    (fun _ provs ->
+      List.iter
+        (fun prov ->
           match Int_set.elements prov with
           | [] -> ()
           | first :: rest -> List.iter (uf_union uf first) rest)
-        !m)
-    store;
+        (List.rev provs))
+    by_pred;
   let groups = Hashtbl.create 16 in
   List.iteri
     (fun i bt ->

@@ -1,0 +1,48 @@
+(** Annotated saturation of a datalog program: one fixpoint over relations
+    whose facts each carry an annotation.
+
+    A rule body's annotation is the {!field-conj} of its atoms'
+    annotations; alternative derivations of one fact combine with
+    {!field-disj}.  The loop is semi-naive: a rule is re-fired only with a
+    body atom ranging over the facts whose annotation changed in the
+    previous round, the other atoms ranging over every fact through hash
+    indexes on their bound columns.  It stops when a round changes no
+    annotation, which terminates whenever the annotations form a finite
+    lattice under [disj] (base-tuple sets, decision diagrams over finitely
+    many variables).
+
+    The reading is classical: comparison guards are applied, negated atoms
+    are ignored and a probabilistic head fires for every valuation, as if
+    all its arguments were keys.  Callers that need exact semantics
+    restrict themselves to positive, repair-key-free programs. *)
+
+type 'a algebra = {
+  one : 'a;  (** annotation of an empty body *)
+  conj : 'a -> 'a -> 'a;  (** joint use of two body facts *)
+  disj : 'a -> 'a -> 'a;  (** alternative derivations of one fact *)
+  equal : 'a -> 'a -> bool;
+}
+
+type 'a t
+(** The saturated facts with their final annotations. *)
+
+val run :
+  ?poll:(unit -> unit) ->
+  'a algebra ->
+  Lang.Datalog.program ->
+  (string * Relational.Tuple.t * 'a) list ->
+  'a t
+(** [run alg program base] saturates [program] from the annotated base
+    facts (a fact listed twice gets the [disj] of its annotations).
+    [poll] runs once per round and may raise to stop the loop. *)
+
+val find : 'a t -> string -> Relational.Tuple.t -> 'a option
+
+val fold : (string -> Relational.Tuple.t -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
+(** Every fact, grouped by predicate in order of first mention (base
+    predicates first, then rule order), tuples in {!Relational.Tuple.compare}
+    order within a predicate. *)
+
+val rounds : 'a t -> int
+(** Semi-naive rounds run, the round that fires empty-bodied rules
+    excluded. *)

@@ -141,4 +141,14 @@ let certain db =
         (Database.bindings db);
   }
 
-let num_worlds t = List.fold_left (fun acc v -> acc * List.length v.domain) 1 t.vars
+let num_worlds t =
+  List.fold_left
+    (fun acc v ->
+      let k = List.length v.domain in
+      if acc > max_int / k then max_int else acc * k)
+    1 t.vars
+
+let count_worlds t =
+  List.fold_left
+    (fun acc v -> Bigq.Bigint.mul acc (Bigq.Bigint.of_int (List.length v.domain)))
+    Bigq.Bigint.one t.vars

@@ -69,3 +69,9 @@ val certain : Relational.Database.t -> t
 (** A c-table with no variables denoting the given database. *)
 
 val num_worlds : t -> int
+(** The number of valuations (the product of the domain sizes), saturating
+    at [max_int]: 62 or more flags read [max_int] instead of wrapping.
+    {!count_worlds} is exact. *)
+
+val count_worlds : t -> Bigq.Bigint.t
+(** The exact number of valuations. *)

@@ -13,5 +13,13 @@ val uncertain_parallel : n:int -> Prob.Ctable.t * Lang.Datalog.program * Lang.Ev
     with probability 1/4, independently, so
     [Pr(t reached) = 1 − (3/4)ⁿ]. *)
 
+val uncertain_grid : k:int -> Prob.Ctable.t * Lang.Datalog.program * Lang.Event.t
+(** The non-hierarchical query [Q(ok) :- R(X), S(X, Y), T(Y)] over a
+    [k × k] grid: [k] tuples each in [R] and [T] and [k²] in [S], every
+    tuple present independently with probability 1/2 ([2k + k²] flags).
+    Its lineage is not read-once, so unlike the line and the parallel
+    paths its decision diagram does not stay linear; there is no closed
+    form. *)
+
 val expected_line : n:int -> Bigq.Q.t
 val expected_parallel : n:int -> Bigq.Q.t

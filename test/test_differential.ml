@@ -270,6 +270,97 @@ let prop_engine_matches_direct =
       | Some p -> Q.equal p (Eval.Exact_inflationary.eval q init)
       | None -> false)
 
+(* pc-table inputs: lineage compilation and world enumeration agree.  Each
+   [e] fact of a random program is guarded by a random condition over 1-3
+   flags and one 3-valued variable, using =, !=, variable = variable, not
+   and or.  Programs with a [?T] or negation rule take the enumeration
+   path, so both paths are exercised; the reference is always the
+   enumeration, one exact fixpoint per world. *)
+module Ctable = Prob.Ctable
+
+let pctable_of_case seed =
+  let case = case_of seed in
+  let rng = Random.State.make [| seed; 7 |] in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let flags = List.init (1 + Random.State.int rng 3) (fun i -> Printf.sprintf "f%d" i) in
+  let vars =
+    List.map (fun f -> Ctable.flag ~p:(pick [ Q.half; Q.of_ints 1 3; Q.of_ints 3 4 ]) f) flags
+    @ [ { Ctable.vname = "c";
+          domain =
+            [ (Relational.Value.Int 1, Q.half);
+              (Relational.Value.Int 2, Q.of_ints 1 3);
+              (Relational.Value.Int 3, Q.of_ints 1 6) ] } ]
+  in
+  let var () = Ctable.TVar (pick ("c" :: flags)) in
+  let term () =
+    match Random.State.int rng 3 with
+    | 0 -> var ()
+    | 1 -> Ctable.TLit (Relational.Value.Bool (Random.State.bool rng))
+    | _ -> Ctable.TLit (Relational.Value.Int (1 + Random.State.int rng 3))
+  in
+  let rec cond depth =
+    match if depth = 0 then Random.State.int rng 2 else Random.State.int rng 6 with
+    | 0 ->
+      let a = var () and b = term () in
+      if Random.State.bool rng then Ctable.CEq (a, b) else Ctable.CNeq (a, b)
+    | 1 -> Ctable.CEq (var (), var ())
+    | 2 -> Ctable.CNot (cond (depth - 1))
+    | 3 -> Ctable.COr (cond (depth - 1), cond (depth - 1))
+    | _ -> Ctable.CAnd (cond (depth - 1), cond (depth - 1))
+  in
+  let tables =
+    List.map
+      (fun (name, r) ->
+        let rows =
+          List.map
+            (fun tuple ->
+              { Ctable.tuple; cond = (if String.equal name "e" then cond 2 else Ctable.CTrue) })
+            (Relational.Relation.tuples r)
+        in
+        (name, Relational.Relation.columns r, rows))
+      (Database.bindings case.Workload.Progen.database)
+  in
+  (case, Ctable.make ~vars ~tables)
+
+let by_enumeration program event ct =
+  let worlds = Ctable.worlds ct in
+  let world0 = fst (List.hd (Prob.Dist.support worlds)) in
+  let kernel, _ = Lang.Compile.inflationary_kernel program world0 in
+  Eval.Exact_inflationary.eval_worlds ~prepare:(Lang.Compile.inflationary_initial program)
+    (Lang.Inflationary.of_forever_unchecked (Lang.Forever.make ~kernel ~event))
+    worlds
+
+let prop_lineage_matches_worlds =
+  QCheck.Test.make ~name:"pc-tables: eval_ctable = world enumeration" ~count:200 arb_case
+    (fun seed ->
+      let case, ct = pctable_of_case seed in
+      let program = case.Workload.Progen.program and event = case.Workload.Progen.event in
+      Q.equal
+        (Eval.Exact_inflationary.eval_ctable ~program ~event ct)
+        (by_enumeration program event ct))
+
+(* The non-hierarchical query R(x), S(x,y), T(y) over a 3x3 grid of
+   independent tuples, each present with probability 1/2: its lineage is
+   not read-once.  The reference counts the 2^15 valuations directly. *)
+let test_non_hierarchical_grid () =
+  let ct, program, event = Workload.Uncertain.uncertain_grid ~k:3 in
+  let idx = [ 0; 1; 2 ] in
+  (* Flags in declaration order: r0..r2, t0..t2, then s_i_j row-major. *)
+  let bit mask k = mask land (1 lsl k) <> 0 in
+  let holds mask =
+    List.exists
+      (fun i -> bit mask i && List.exists (fun j -> bit mask (6 + (3 * i) + j) && bit mask (3 + j)) idx)
+      idx
+  in
+  let hits = ref 0 in
+  for mask = 0 to (1 lsl 15) - 1 do
+    if holds mask then incr hits
+  done;
+  let p, how = Eval.Exact_inflationary.eval_ctable_method ~program ~event ct in
+  Alcotest.(check bool) "lineage path" true
+    (match how with Eval.Exact_inflationary.Lineage _ -> true | Eval.Exact_inflationary.Worlds -> false);
+  Alcotest.(check string) "exact" (Q.to_string (Q.of_ints !hits (1 lsl 15))) (Q.to_string p)
+
 let () =
   Alcotest.run "differential"
     [ ( "random-programs",
@@ -287,6 +378,11 @@ let () =
             prop_plan_sampler_estimates_identical;
             prop_seminaive_matches_naive;
             prop_magic_matches_unrewritten;
-            prop_engine_matches_direct
-          ] )
+            prop_engine_matches_direct;
+            prop_lineage_matches_worlds
+          ] );
+      ( "pc-tables",
+        [ Alcotest.test_case "non-hierarchical 3x3 grid: lineage = counted valuations" `Quick
+            test_non_hierarchical_grid
+        ] )
     ]

@@ -156,6 +156,42 @@ let test_ctable_inflationary () =
   Alcotest.check q_t "1/4" (Q.of_ints 1 4)
     (Exact_inflationary.eval_ctable ~program:parsed.Parser.program ~event ct)
 
+(* The pc-table reference: one exact fixpoint of the uncompiled kernel
+   per world, averaged. *)
+let by_enumeration ~program ~event ct =
+  let worlds = Prob.Ctable.worlds ct in
+  let kernel, _ = Compile.inflationary_kernel program (fst (List.hd (Prob.Dist.support worlds))) in
+  Exact_inflationary.eval_worlds ~prepare:(Compile.inflationary_initial program)
+    (Inflationary.of_forever_unchecked (Forever.make ~kernel ~event))
+    worlds
+
+(* A fact whose lineage grows in a later round than the one that last
+   fired it must be fired again.  The rows are listed so that the direct
+   edge a->d derives R(d) in the first round and the detour a->b->c->f->d
+   only reaches d two rounds after R(d) last took part in a join; R(e)
+   must see both.  The reference enumerates the 64 worlds. *)
+let test_lineage_late_growth () =
+  let parsed =
+    parse
+      "var x1 = { true: 1/2, false: 1/2 }.\n\
+       var x2 = { true: 1/3, false: 2/3 }.\n\
+       var x3 = { true: 1/2, false: 1/2 }.\n\
+       var x4 = { true: 3/4, false: 1/4 }.\n\
+       var x5 = { true: 1/2, false: 1/2 }.\n\
+       var x6 = { true: 1/2, false: 1/2 }.\n\
+       e(a, b) when x2 = true.\ne(b, c) when x3 = true.\ne(c, f) when x6 = true.\n\
+       e(f, d) when x4 = true.\ne(a, d) when x1 = true.\ne(d, e) when x5 = true.\n\
+       R(a) :- .\nR(Y) :- R(X), e(X, Y).\n?- R(e)."
+  in
+  let program = parsed.Parser.program and event = Option.get parsed.Parser.event in
+  let ct = Option.get (Parser.ctable_of parsed) in
+  (* (x1 or x2 x3 x6 x4) x5 = (1/2 + 1/2 * 1/3 * 1/2 * 1/2 * 3/4) * 1/2 = 17/64 *)
+  let p, how = Exact_inflationary.eval_ctable_method ~program ~event ct in
+  Alcotest.(check bool) "lineage path" true
+    (match how with Exact_inflationary.Lineage _ -> true | Exact_inflationary.Worlds -> false);
+  Alcotest.check q_t "17/64" (Q.of_ints 17 64) p;
+  Alcotest.check q_t "= enumeration" p (by_enumeration ~program ~event ct)
+
 (* --- Sampling engine (Theorem 4.3) -------------------------------------- *)
 
 let test_samples_needed () =
@@ -795,6 +831,33 @@ let test_engine_plan_vs_interpreted () =
         (sampled ~semantics:Engine.Noninflationary noninf))
     [ 1; 2; 4 ]
 
+(* The pc-table branch reports which path answered.  On the lineage path
+   the event diagram of an n-edge line has n + 2 nodes, and the stats carry
+   the saturation rounds and created nodes instead of zeros. *)
+let test_engine_pctable_method () =
+  let parsed = Parser.parse_file "../examples/programs/uncertain_reach.pdl" in
+  let r = Engine.run ~stats:true ~semantics:Engine.Inflationary ~method_:Engine.Exact parsed in
+  let diag k = List.assoc_opt k r.Engine.diagnostics in
+  Alcotest.check q_t "1/8" (Q.of_ints 1 8) (Option.get r.Engine.exact);
+  Alcotest.(check (option string)) "method" (Some "lineage") (diag "pc-table method");
+  Alcotest.(check (option string)) "nodes" (Some "5") (diag "lineage nodes");
+  Alcotest.(check (option string)) "worlds" (Some "8") (diag "pc-table worlds");
+  Alcotest.(check (option string)) "no plan row" None (diag "plan strategy");
+  let st = Option.get r.Engine.stats in
+  Alcotest.(check bool) "rounds recorded" true (st.Engine.steps > 0);
+  (* Three edge literals, then e1 & e2 (one node) and e1 & e2 & e3 (two). *)
+  Alcotest.(check int) "nodes created" 6 st.Engine.states;
+  let neg =
+    parse
+      "var x = { true: 1/2, false: 1/2 }.\nb(u) when x = true.\nc(u).\nN(X) :- c(X), !b(X).\n?- N(u)."
+  in
+  let r = Engine.run ~semantics:Engine.Inflationary ~method_:Engine.Exact neg in
+  Alcotest.check q_t "1/2" Q.half (Option.get r.Engine.exact);
+  Alcotest.(check (option string)) "negation enumerates" (Some "worlds")
+    (List.assoc_opt "pc-table method" r.Engine.diagnostics);
+  Alcotest.(check (option string)) "no node row" None
+    (List.assoc_opt "lineage nodes" r.Engine.diagnostics)
+
 (* Every shipped example program: the engine's exact answer (compiled
    plans, semi-naive deltas) is Q-equal to the uncompiled kernel's, and on
    inflationary inputs the plans stepped without deltas agree with the
@@ -828,7 +891,10 @@ let test_examples_engine_vs_reference () =
           in
           let reference =
             match (semantics, ctable) with
-            | Engine.Inflationary, Some ct -> Exact_inflationary.eval_ctable ~program ~event ct
+            | Engine.Inflationary, Some ct ->
+              (* The engine answers pc-tables through lineage when it can, so
+                 the reference is the enumeration. *)
+              by_enumeration ~program ~event ct
             | Engine.Inflationary, None ->
               let kernel, init = Compile.inflationary_kernel program db in
               let fq = Forever.make ~kernel ~event in
@@ -1024,7 +1090,9 @@ let () =
           Alcotest.test_case "algebra form (Ex 3.5)" `Quick test_algebra_reachability;
           Alcotest.test_case "unrestricted reuse (Ex 3.6)" `Quick test_unrestricted_reuse_gives_one;
           Alcotest.test_case "diverged detection" `Quick test_diverged_detection;
-          Alcotest.test_case "ctable input" `Quick test_ctable_inflationary
+          Alcotest.test_case "ctable input" `Quick test_ctable_inflationary;
+          Alcotest.test_case "lineage: late annotation growth is re-fired" `Quick
+            test_lineage_late_growth
         ] );
       ( "sample-inflationary",
         [ Alcotest.test_case "samples needed" `Quick test_samples_needed;
@@ -1097,6 +1165,8 @@ let () =
           Alcotest.test_case "plan vs interpreted" `Slow test_engine_plan_vs_interpreted;
           Alcotest.test_case "examples: engine = uncompiled reference" `Slow
             test_examples_engine_vs_reference;
+          Alcotest.test_case "pc-table method diagnostics and lineage stats" `Quick
+            test_engine_pctable_method;
           Alcotest.test_case "Thm 4.3 (eps, delta) over 200 seeds" `Slow
             test_eps_delta_inflationary;
           Alcotest.test_case "Thm 5.6 (eps, delta) over 200 seeds" `Slow

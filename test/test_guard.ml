@@ -528,6 +528,46 @@ let test_engine_fail_policy () =
     Alcotest.fail "expected Engine_error"
   with Engine.Engine_error _ -> ()
 
+(* An uncertain line of 8 flags: the lineage path builds one diagram node
+   per base edge before saturating, so a 3-state budget runs out there. *)
+let line8_src =
+  let b = Buffer.create 512 in
+  for i = 0 to 7 do
+    Buffer.add_string b (Printf.sprintf "var x%d = { true: 1/2, false: 1/2 }.\n" i);
+    Buffer.add_string b (Printf.sprintf "edge(v%d, v%d) when x%d = true.\n" i (i + 1) i)
+  done;
+  Buffer.add_string b "R(v0) :- .\nR(Y) :- R(X), edge(X, Y).\n?- R(v8).\n";
+  Buffer.contents b
+
+let run_line8 ?on_budget () =
+  Engine.run ~seed:4 ~guard:(Guard.make ~max_states:3 ()) ?on_budget
+    ~semantics:Engine.Inflationary ~method_:Engine.Exact (parse line8_src)
+
+let test_lineage_degrade () =
+  let r = run_line8 () in
+  Alcotest.(check (option string)) "lineage path" (Some "lineage")
+    (List.assoc_opt "pc-table method" r.Engine.diagnostics);
+  (match r.Engine.outcome with
+   | Engine.Partial { reason = Guard.States _; ci = None; _ } -> ()
+   | _ -> Alcotest.fail "expected a state-budget partial outcome");
+  Alcotest.(check bool) "answer is nan" true (Float.is_nan r.Engine.probability)
+
+let test_lineage_fallback () =
+  let r = run_line8 ~on_budget:(Engine.Fallback { eps = 0.1; delta = 0.1; burn_in = 0 }) () in
+  (match r.Engine.downgrade with
+   | Some { Engine.from_ = "exact"; to_ = "sampling"; trigger = "state-budget" } -> ()
+   | _ -> Alcotest.fail "expected a state-budget downgrade to sampling");
+  (match r.Engine.outcome with
+   | Engine.Complete -> ()
+   | Engine.Partial _ -> Alcotest.fail "fallback run should complete");
+  Alcotest.(check bool) "sampled, not exact" true (r.Engine.exact = None);
+  Alcotest.(check bool) "estimate near 1/256" true (r.Engine.probability <= 0.1)
+
+let test_lineage_fail () =
+  match run_line8 ~on_budget:Engine.Fail () with
+  | _ -> Alcotest.fail "expected Engine_error"
+  | exception Engine.Engine_error _ -> ()
+
 let test_stats3_json_shape () =
   let parsed = parse walk_src in
   let r =
@@ -684,6 +724,10 @@ let () =
           Alcotest.test_case "exact degrade reports progress, answers nan" `Quick
             test_engine_degrade_exact;
           Alcotest.test_case "fail policy raises" `Quick test_engine_fail_policy;
+          Alcotest.test_case "lineage state budget degrades" `Quick test_lineage_degrade;
+          Alcotest.test_case "lineage state budget falls back to sampling" `Quick
+            test_lineage_fallback;
+          Alcotest.test_case "lineage state budget under fail raises" `Quick test_lineage_fail;
           Alcotest.test_case "stats/3 document shape" `Quick test_stats3_json_shape
         ] );
       qsuite "qcheck" [ prop_budget_soundness; prop_resume_identity ]

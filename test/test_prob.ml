@@ -171,6 +171,14 @@ let test_ctable_worlds () =
 
 let test_ctable_num_worlds () = Alcotest.(check int) "4 valuations" 4 (Ctable.num_worlds xy_ctable)
 
+let test_ctable_num_worlds_saturates () =
+  let flags n = Ctable.make ~vars:(List.init n (fun i -> Ctable.flag ~p:Q.half (Printf.sprintf "x%d" i))) ~tables:[] in
+  Alcotest.(check int) "2^61 fits" (1 lsl 61) (Ctable.num_worlds (flags 61));
+  Alcotest.(check int) "62 flags saturate" max_int (Ctable.num_worlds (flags 62));
+  Alcotest.(check int) "64 flags saturate" max_int (Ctable.num_worlds (flags 64));
+  Alcotest.(check string) "64 flags counted exactly" "18446744073709551616"
+    (Bigq.Bigint.to_string (Ctable.count_worlds (flags 64)))
+
 let test_ctable_validation () =
   (try
      ignore (Ctable.make ~vars:[ Ctable.flag ~p:Q.half "x"; Ctable.flag ~p:Q.half "x" ] ~tables:[]);
@@ -444,6 +452,95 @@ let arb_weights =
     ~print:(fun l -> String.concat "," (List.map string_of_int l))
     QCheck.Gen.(list_size (int_range 1 6) (int_range 1 20))
 
+(* --- Decision diagrams ------------------------------------------------- *)
+
+let mdd_vars =
+  [ Ctable.flag ~p:(Q.of_ints 1 3) "x";
+    Ctable.flag ~p:Q.half "y";
+    { Ctable.vname = "c";
+      domain = [ (v_int 1, Q.half); (v_int 2, Q.of_ints 1 3); (v_int 3, Q.of_ints 1 6) ] }
+  ]
+
+let mdd_ctable = Ctable.make ~vars:mdd_vars ~tables:[]
+
+(* Random conditions over two flags and one 3-valued variable, using every
+   constructor: literal and variable-variable (in)equalities, not, or,
+   and. *)
+let gen_cond =
+  let open QCheck.Gen in
+  let term =
+    oneof
+      [ oneofl [ Ctable.TVar "x"; Ctable.TVar "y"; Ctable.TVar "c" ];
+        map (fun b -> Ctable.TLit (Value.Bool b)) bool;
+        map (fun k -> Ctable.TLit (v_int k)) (int_range 1 4)
+      ]
+  in
+  let atom =
+    oneof
+      [ map2 (fun a b -> Ctable.CEq (a, b)) term term;
+        map2 (fun a b -> Ctable.CNeq (a, b)) term term;
+        return Ctable.CTrue
+      ]
+  in
+  sized_size (int_bound 6)
+  @@ fix (fun self n ->
+         if n = 0 then atom
+         else
+           frequency
+             [ (1, atom);
+               (2, map2 (fun a b -> Ctable.CAnd (a, b)) (self (n / 2)) (self (n / 2)));
+               (2, map2 (fun a b -> Ctable.COr (a, b)) (self (n / 2)) (self (n / 2)));
+               (1, map (fun a -> Ctable.CNot a) (self (n - 1)))
+             ])
+
+let arb_cond = QCheck.make gen_cond
+
+let by_enumeration cond =
+  Seq.fold_left
+    (fun acc theta ->
+      if Ctable.eval_cond theta cond then Q.add acc (Ctable.valuation_prob mdd_ctable theta) else acc)
+    Q.zero (Ctable.valuations mdd_ctable)
+
+let prop_mdd_prob =
+  QCheck.Test.make ~name:"mdd: prob (of_cond c) = enumerated probability" ~count:300 arb_cond
+    (fun cond ->
+      let m = Mdd.create mdd_vars in
+      Q.equal (Mdd.prob m (Mdd.of_cond m cond)) (by_enumeration cond))
+
+let prop_mdd_canonical =
+  QCheck.Test.make ~name:"mdd: equal functions share one node" ~count:300
+    (QCheck.pair arb_cond arb_cond)
+    (fun (a, b) ->
+      let m = Mdd.create mdd_vars in
+      let da = Mdd.of_cond m a and db = Mdd.of_cond m b in
+      Mdd.equal (Mdd.of_cond m (Ctable.CNot (Ctable.CNot a))) da
+      && Mdd.equal (Mdd.disj m da db) (Mdd.neg m (Mdd.conj m (Mdd.neg m da) (Mdd.neg m db)))
+      && Mdd.equal (Mdd.conj m da db) (Mdd.conj m db da))
+
+let test_mdd_line_size () =
+  (* The lineage of an uncertain line is a conjunction of n literals: one
+     node per variable plus the two leaves, and 2^-n. *)
+  let n = 64 in
+  let vars = List.init n (fun i -> Ctable.flag ~p:Q.half (Printf.sprintf "x%d" i)) in
+  let created = ref 0 in
+  let m = Mdd.create ~on_node:(fun () -> incr created) vars in
+  let d =
+    List.fold_left
+      (fun acc v -> Mdd.conj m acc (Mdd.of_cond m (Ctable.CEq (Ctable.TVar v.Ctable.vname, Ctable.TLit (Value.Bool true)))))
+      Mdd.top vars
+  in
+  Alcotest.(check int) "n + 2 nodes" (n + 2) (Mdd.size m d);
+  Alcotest.(check int) "creation hook counts inner nodes" (Mdd.nodes_created m) !created;
+  Alcotest.check q_t "2^-64" (Q.pow Q.half n) (Mdd.prob m d);
+  Alcotest.(check int) "x = y over two flags: three tests, two leaves" 5
+    (Mdd.size m (Mdd.of_cond m (Ctable.CEq (Ctable.TVar "x0", Ctable.TVar "x1"))))
+
+let test_mdd_unknown_variable () =
+  let m = Mdd.create mdd_vars in
+  match Mdd.of_cond m (Ctable.CEq (Ctable.TVar "z", Ctable.TLit (Value.Bool true))) with
+  | _ -> Alcotest.fail "expected Ctable_error"
+  | exception Ctable.Ctable_error _ -> ()
+
 let prop_unnormalised_sums_to_one =
   QCheck.Test.make ~name:"make_unnormalised sums to 1" ~count:200 arb_weights (fun ws ->
       let d = Dist.make_unnormalised ~compare:Int.compare (List.mapi (fun i w -> (i, Q.of_int w)) ws) in
@@ -488,6 +585,8 @@ let () =
       ( "ctable",
         [ Alcotest.test_case "worlds" `Quick test_ctable_worlds;
           Alcotest.test_case "num worlds" `Quick test_ctable_num_worlds;
+          Alcotest.test_case "num worlds saturates, count is exact (64 flags)" `Quick
+            test_ctable_num_worlds_saturates;
           Alcotest.test_case "validation" `Quick test_ctable_validation;
           Alcotest.test_case "sample valuation" `Slow test_ctable_sample_valuation;
           Alcotest.test_case "certain" `Quick test_ctable_certain
@@ -517,5 +616,10 @@ let () =
           Alcotest.test_case "expected cardinality" `Quick test_confidence_expected_cardinality;
           Alcotest.test_case "relation marginal" `Quick test_confidence_relation_marginal
         ] );
+      ( "mdd",
+        [ Alcotest.test_case "line lineage is linear" `Quick test_mdd_line_size;
+          Alcotest.test_case "unknown variable" `Quick test_mdd_unknown_variable
+        ] );
+      ("mdd-props", qsuite [ prop_mdd_prob; prop_mdd_canonical ]);
       ("dist-props", qsuite [ prop_unnormalised_sums_to_one; prop_bind_preserves_mass; prop_tv_bounds ])
     ]
