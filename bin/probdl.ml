@@ -12,6 +12,7 @@ let read_parsed path =
   try Ok (Lang.Parser.parse_file path) with
   | Lang.Parser.Parse_error msg -> Error msg
   | Lang.Datalog.Datalog_error msg -> Error msg
+  | Prob.Ctable.Ctable_error msg -> Error msg
   | Sys_error msg -> Error msg
 
 let semantics_conv =
@@ -41,11 +42,11 @@ let method_arg =
     & opt
         (enum
            [ ("exact", `Exact); ("sample", `Sample); ("partitioned", `Partitioned);
-             ("lumped", `Lumped); ("time-average", `Time_average)
+             ("time-average", `Time_average)
            ])
         `Exact
     & info [ "m"; "method" ] ~docv:"METHOD"
-        ~doc:"exact, sample, partitioned, lumped or time-average.")
+        ~doc:"exact, sample, partitioned or time-average.")
 
 let eps_arg = Arg.(value & opt float 0.05 & info [ "eps" ] ~doc:"Absolute error bound (sampling).")
 let delta_arg = Arg.(value & opt float 0.05 & info [ "delta" ] ~doc:"Failure probability (sampling).")
@@ -204,7 +205,6 @@ let run_cmd =
         match method_ with
         | `Exact -> Eval.Engine.Exact
         | `Partitioned -> Eval.Engine.Exact_partitioned
-        | `Lumped -> Eval.Engine.Exact_lumped
         | `Sample -> Eval.Engine.Sampling { eps; delta; burn_in }
         | `Time_average -> Eval.Engine.Time_average { steps; burn_in }
       in

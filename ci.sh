@@ -91,7 +91,17 @@ method, exact = doc["diagnostics"].get("pc-table method"), doc["exact"]
 if method != "lineage" or exact != "1/8":
     sys.exit(f"pc-table method {method!r}, exact {exact!r}: want lineage, 1/8")
 ' || { echo "lineage stats check failed for uncertain_reach.pdl" >&2; exit 1; }
-echo "ok: --stats-json documents parse with engine/steps/draws/elapsed_ms/outcome/downgrade; pc-table lineage answers 1/8"
+# Every exact non-inflationary answer is solved on the lumped chain, even a
+# reducible one such as the coin chain.
+"$PROBDL" run examples/programs/coin_flip.pdl -s noninflationary --stats-json | python3 -c '
+import json, sys
+doc = json.load(sys.stdin)
+diags, exact = doc["diagnostics"], doc["exact"]
+states, classes = diags.get("chain states"), diags.get("lumped classes")
+if exact != "1/3" or states is None or classes is None or int(classes) > int(states):
+    sys.exit(f"exact {exact!r}, lumped classes {classes!r}, chain states {states!r}: want 1/3, classes <= states")
+' || { echo "lumped stats check failed for coin_flip.pdl" >&2; exit 1; }
+echo "ok: --stats-json documents parse with engine/steps/draws/elapsed_ms/outcome/downgrade; pc-table lineage answers 1/8; coin_flip lumps"
 
 echo "== trace smoke =="
 # --trace files must be valid Chrome trace-event JSON: known phase values,

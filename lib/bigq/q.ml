@@ -50,10 +50,16 @@ let hash q = ((Bigint.hash q.qnum * 0x01000193) lxor Bigint.hash q.qden) land ma
 let neg q = { q with qnum = Bigint.neg q.qnum }
 let abs q = { q with qnum = Bigint.abs q.qnum }
 
+(* Adding zero returns the other operand: both are already in lowest terms,
+   and sums that start from [zero] (every [sum], every accumulator) skip a
+   gcd. *)
 let add a b =
-  make
-    (Bigint.add (Bigint.mul a.qnum b.qden) (Bigint.mul b.qnum a.qden))
-    (Bigint.mul a.qden b.qden)
+  if is_zero a then b
+  else if is_zero b then a
+  else
+    make
+      (Bigint.add (Bigint.mul a.qnum b.qden) (Bigint.mul b.qnum a.qden))
+      (Bigint.mul a.qden b.qden)
 
 let sub a b = add a (neg b)
 let mul a b = make (Bigint.mul a.qnum b.qnum) (Bigint.mul a.qden b.qden)

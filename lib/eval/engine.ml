@@ -7,7 +7,6 @@ type semantics =
 type method_ =
   | Exact
   | Exact_partitioned
-  | Exact_lumped
   | Sampling of {
       eps : float;
       delta : float;
@@ -72,17 +71,15 @@ let err fmt = Format.kasprintf (fun s -> raise (Engine_error s)) fmt
 let engine_name semantics method_ =
   match (semantics, method_) with
   | _, Time_average _ -> "time-average"
-  | Inflationary, (Exact | Exact_partitioned | Exact_lumped) -> "exact-inflationary"
+  | Inflationary, (Exact | Exact_partitioned) -> "exact-inflationary"
   | Noninflationary, Exact -> "exact-noninflationary"
   | Noninflationary, Exact_partitioned -> "exact-partitioned"
-  | Noninflationary, Exact_lumped -> "exact-lumped"
   | Inflationary, Sampling _ -> "sample-inflationary"
   | Noninflationary, Sampling _ -> "sample-noninflationary"
 
 let method_slug = function
   | Exact -> "exact"
   | Exact_partitioned -> "exact-partitioned"
-  | Exact_lumped -> "exact-lumped"
   | Sampling _ -> "sampling"
   | Time_average _ -> "time-average"
 
@@ -151,7 +148,7 @@ let prepare ?(magic = false) ~semantics ~method_ (parsed : Lang.Parser.parsed) =
    | Time_average { steps; burn_in } ->
      if steps <= 0 then err "steps must be positive, got %d" steps;
      if burn_in < 0 then err "burn-in must be non-negative, got %d" burn_in
-   | Exact | Exact_partitioned | Exact_lumped -> ());
+   | Exact | Exact_partitioned -> ());
   let event =
     match parsed.Lang.Parser.event with
     | Some e -> e
@@ -381,6 +378,7 @@ let prepare ?(magic = false) ~semantics ~method_ (parsed : Lang.Parser.parsed) =
               ~probability:(Q.to_float a.Exact_noninflationary.result)
               ?exact:(Some a.Exact_noninflationary.result)
               [ ("chain states", string_of_int a.Exact_noninflationary.num_states);
+                ("lumped classes", string_of_int a.Exact_noninflationary.num_classes);
                 ("irreducible", string_of_bool a.Exact_noninflationary.irreducible);
                 ("ergodic", string_of_bool a.Exact_noninflationary.ergodic)
               ]
@@ -403,33 +401,6 @@ let prepare ?(magic = false) ~semantics ~method_ (parsed : Lang.Parser.parsed) =
             ~diags:[ ("samples", string_of_int samples); ("burn-in", string_of_int burn_in) ]
       | _, Exact_partitioned, Some _ ->
         err "partitioned evaluation does not support pc-table inputs"
-      | Inflationary, Exact_lumped, _ ->
-        err "lumped evaluation applies to non-inflationary queries"
-      | Noninflationary, Exact_lumped, ct -> begin
-        let kernel, init =
-          match ct with
-          | Some ct -> Lang.Compile.noninflationary_kernel_ctable program ct
-          | None -> Lang.Compile.noninflationary_kernel program db
-        in
-        let query = compile_query init (Lang.Forever.make ~kernel ~event) in
-        fun env ->
-          match
-            Exact_noninflationary.analyse_lumped ?max_states:env.env_max_states
-              ~guard:env.env_guard query init
-          with
-          | a ->
-            mk
-              ~probability:(Q.to_float a.Exact_noninflationary.lumped_result)
-              ?exact:(Some a.Exact_noninflationary.lumped_result)
-              [ ("chain states", string_of_int a.Exact_noninflationary.states_before);
-                ("lumped classes", string_of_int a.Exact_noninflationary.states_after);
-                ("lumped", string_of_bool a.Exact_noninflationary.lumped)
-              ]
-          | exception Guard.Exhausted reason ->
-            on_exhausted_exact env reason ~diags:[]
-              ~fallback:(fun ~eps ~delta ~burn_in ~downgrade ->
-                fallback_noninflationary env ~query ~init ~eps ~delta ~burn_in ~downgrade)
-      end
       | Inflationary, Exact, None -> begin
         let kernel, init = Lang.Compile.inflationary_kernel program db in
         let fq, strat_diags =
@@ -578,7 +549,6 @@ let pp_semantics fmt = function
 let pp_method fmt = function
   | Exact -> Format.pp_print_string fmt "exact"
   | Exact_partitioned -> Format.pp_print_string fmt "exact (partitioned)"
-  | Exact_lumped -> Format.pp_print_string fmt "exact (lumped)"
   | Sampling { eps; delta; burn_in } ->
     Format.fprintf fmt "sampling (eps=%g delta=%g burn-in=%d)" eps delta burn_in
   | Time_average { steps; burn_in } ->

@@ -6,9 +6,10 @@ type semantics =
   | Noninflationary
 
 type method_ =
-  | Exact  (** Prop 4.4 / Prop 5.4+Thm 5.5 *)
+  | Exact
+      (** Prop 4.4 / Prop 5.4+Thm 5.5; a non-inflationary chain is solved on
+          its event-lumped quotient, reported as [lumped classes] *)
   | Exact_partitioned  (** §5.1 (non-inflationary only) *)
-  | Exact_lumped  (** chain quotiented by event-respecting lumping (non-inflationary only) *)
   | Sampling of {
       eps : float;
       delta : float;

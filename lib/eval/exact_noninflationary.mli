@@ -1,16 +1,20 @@
 (** Exact evaluation of non-inflationary (forever) queries.
 
     The transition kernel and the input database induce a Markov chain over
-    database instances (Section 3.1).  When that chain is irreducible the
-    query result is the stationary mass of the event states, computed by
-    Gaussian elimination (Proposition 5.4).  In general, the walk is
-    absorbed with probability 1 into a closed SCC of the condensation DAG;
-    the answer combines the absorption probabilities with each closed
-    component's internal stationary distribution (Theorem 5.5). *)
+    database instances (Section 3.1).  The walk is absorbed with
+    probability 1 into a closed SCC of the condensation DAG; the answer
+    combines the absorption probabilities with each closed component's
+    internal stationary distribution (Theorem 5.5), which for an
+    irreducible chain is its stationary mass of the event states
+    (Proposition 5.4).  Every answer is solved on the chain's quotient by
+    event-respecting lumping ({!Markov.Lumping.long_run_masses}), which
+    preserves the long-run law from the start state and often collapses
+    the state space by orders of magnitude before Gaussian elimination. *)
 
 type analysis = {
   chain : Relational.Database.t Markov.Chain.t;
-  num_states : int;
+  num_states : int;  (** chain states before lumping *)
+  num_classes : int;  (** lumped classes the answer was solved on *)
   irreducible : bool;
   ergodic : bool;
   result : Bigq.Q.t;
@@ -36,25 +40,6 @@ val analyse :
   ?max_states:int -> ?guard:Guard.t -> Lang.Forever.t -> Relational.Database.t -> analysis
 (** {!eval} plus the structural diagnostics. *)
 
-val eval_lumped :
-  ?max_states:int -> ?guard:Guard.t -> Lang.Forever.t -> Relational.Database.t -> Bigq.Q.t
-(** Like {!eval} but, on irreducible chains, quotients the database-state
-    chain by event-respecting lumping ({!Markov.Lumping}) before the linear
-    solve — often collapsing the state space by orders of magnitude.  Falls
-    back to the direct algorithm on reducible chains. *)
-
-type lumped_analysis = {
-  lumped_result : Bigq.Q.t;
-  states_before : int;  (** chain states before lumping *)
-  states_after : int;  (** lumped classes ([= states_before] when not lumped) *)
-  lumped : bool;  (** whether the event-respecting quotient was solved *)
-}
-
-val analyse_lumped :
-  ?max_states:int -> ?guard:Guard.t -> Lang.Forever.t -> Relational.Database.t -> lumped_analysis
-(** {!eval_lumped} plus the before/after-lumping state counts for
-    diagnostics. *)
-
 val expected_hitting_time :
   ?max_states:int -> Lang.Forever.t -> Relational.Database.t -> Bigq.Q.t option
 (** Expected number of steps until the event first holds, starting from the
@@ -69,8 +54,8 @@ val eval_events :
   Relational.Database.t ->
   (Lang.Event.t * Bigq.Q.t) list
 (** Evaluate several query events over the SAME kernel and input — the
-    chain is built and decomposed once; only the final mass summation is
-    per-event.  E.g. the full stationary distribution of a walk in one
+    chain is built, lumped by the events' joint indicator vectors and
+    decomposed once; only the final mass summation is per-event.  E.g. the full stationary distribution of a walk in one
     pass.  Steps via compiled physical plans ({!Prob.Pplan}) built against
     the initial database's schemas. *)
 

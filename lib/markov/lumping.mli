@@ -4,11 +4,12 @@
 
     A partition is ordinarily lumpable when all states of a class have the
     same total transition probability into every class; the quotient is
-    then itself a Markov chain and, for irreducible chains, the stationary
-    probability of a class is the sum over its members.  Starting from the
-    event labelling, lumping can shrink the exponential database-state
-    chains of non-inflationary evaluation dramatically before Gaussian
-    elimination. *)
+    then itself a Markov chain, and the lumped process has the law of the
+    quotient chain from every start state.  Starting from the event
+    labelling, lumping can shrink the exponential database-state chains of
+    non-inflationary evaluation dramatically before Gaussian elimination;
+    every exact long-run answer is solved on the quotient
+    ({!long_run_masses}). *)
 
 type result = {
   quotient : int Chain.t;  (** states labelled by class id *)
@@ -16,13 +17,24 @@ type result = {
   num_classes : int;
 }
 
-val lump : initial:(int -> int) -> 'a Chain.t -> result
+val lump : initial:(int -> 'l) -> 'a Chain.t -> result
 (** [lump ~initial chain] refines the partition induced by [initial] (any
-    labelling function into integers) to the coarsest ordinarily-lumpable
-    partition, by classical partition refinement.  Always succeeds; worst
-    case every state is its own class. *)
+    labelling of the states, compared structurally) to the coarsest
+    ordinarily-lumpable partition.  Splitter-driven refinement: when a
+    class splits, only the predecessors of its pieces are re-weighed, and
+    a class already used as a splitter re-enters the work list without its
+    largest piece, so a state's in-edges are weighed O(log states) times.
+    Class ids are numbered by first occurrence over the states
+    [0 .. n-1].  Always succeeds; worst case every state is its own
+    class. *)
 
-val stationary_event_mass : 'a Chain.t -> event:(int -> bool) -> Bigq.Q.t
-(** Stationary probability of the event states of an irreducible chain,
-    computed on the lumped quotient (initial labels = event indicator).
-    Exact; raises {!Chain.Chain_error} if the chain is not irreducible. *)
+val long_run_masses :
+  'a Chain.t -> start:int -> events:(int -> bool) list -> result * Bigq.Q.t list
+(** [long_run_masses chain ~start ~events] is the long-run average
+    occupation mass of each event's states for the walk started at
+    [start], in the order of [events], with the lumping it was solved on.
+    The chain is lumped by each state's event-indicator vector; the walk
+    from [class_of start] is absorbed into the quotient's closed components
+    ({!Absorption.into_closed}), each weighted by its internal stationary
+    distribution (Theorem 5.5; an irreducible quotient is Proposition 5.4).
+    Records the ["lump"] and ["solve"] {!Obs} phases. *)

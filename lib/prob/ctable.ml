@@ -44,6 +44,9 @@ let make ~vars ~tables =
   List.iter
     (fun v ->
       if v.domain = [] then err "variable %s has empty domain" v.vname;
+      let values = List.map fst v.domain in
+      if List.length (List.sort_uniq Value.compare values) <> List.length values then
+        err "distribution of %s lists a value twice" v.vname;
       List.iter (fun (_, p) -> if Q.sign p < 0 then err "variable %s has negative weight" v.vname) v.domain;
       if not (Q.is_one (Q.sum (List.map snd v.domain))) then
         err "distribution of %s does not sum to 1" v.vname)

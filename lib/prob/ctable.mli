@@ -42,7 +42,8 @@ exception Ctable_error of string
 val make : vars:var list -> tables:(string * string list * row list) list -> t
 (** [make ~vars ~tables] where each table is (name, columns, rows).  Raises
     {!Ctable_error} on duplicate variables, a condition mentioning an
-    undeclared variable, or a variable distribution not summing to 1. *)
+    undeclared variable, or a variable distribution that lists a value
+    twice or does not sum to 1. *)
 
 val vars : t -> var list
 val tables : t -> (string * string list * row list) list

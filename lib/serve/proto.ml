@@ -183,10 +183,9 @@ let method_of_query q =
   | "sample" ->
     Ok (Eval.Engine.Sampling { eps = q.q_eps; delta = q.q_delta; burn_in = q.q_burn_in })
   | "partitioned" -> Ok Eval.Engine.Exact_partitioned
-  | "lumped" -> Ok Eval.Engine.Exact_lumped
   | "time-average" ->
     Ok (Eval.Engine.Time_average { steps = q.q_steps; burn_in = q.q_burn_in })
-  | m -> Error (Printf.sprintf "unknown method %S (exact|sample|partitioned|lumped|time-average)" m)
+  | m -> Error (Printf.sprintf "unknown method %S (exact|sample|partitioned|time-average)" m)
 
 (* --- encoding ------------------------------------------------------------- *)
 

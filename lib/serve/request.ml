@@ -19,7 +19,6 @@ let semantics_slug = function
 let method_slug = function
   | Eval.Engine.Exact -> "exact"
   | Eval.Engine.Exact_partitioned -> "partitioned"
-  | Eval.Engine.Exact_lumped -> "lumped"
   | Eval.Engine.Sampling { eps; delta; burn_in } ->
     Printf.sprintf "sample(%g,%g,%d)" eps delta burn_in
   | Eval.Engine.Time_average { steps; burn_in } ->

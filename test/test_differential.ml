@@ -97,7 +97,7 @@ let prop_exact_vs_time_average_noninflationary =
         let avg = Eval.Sample_noninflationary.eval_time_average rng ~steps:30_000 q init in
         abs_float (exact -. avg) < 0.08)
 
-(* Lumped evaluation agrees exactly with direct evaluation. *)
+(* The lumped solve agrees exactly with the full-chain reference. *)
 let prop_lumped_matches_direct =
   QCheck.Test.make ~name:"lumped = direct on random non-inflationary programs" ~count:15 arb_case
     (fun seed ->
@@ -108,7 +108,7 @@ let prop_lumped_matches_direct =
       let q = Lang.Forever.make ~kernel ~event:case.Workload.Progen.event in
       match Eval.Exact_noninflationary.eval ~max_states:400 q init with
       | exception Markov.Chain.Chain_error _ -> QCheck.assume_fail ()
-      | direct -> Q.equal direct (Eval.Exact_noninflationary.eval_lumped ~max_states:400 q init))
+      | lumped -> Q.equal lumped (Full_chain.query_mass ~max_states:400 q init))
 
 (* Multi-event evaluation is consistent with one-at-a-time evaluation. *)
 let prop_multi_event_consistent =

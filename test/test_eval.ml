@@ -372,8 +372,8 @@ let test_partition_saturate () =
 
 let test_eval_lumped_agrees () =
   let q, init = noninflationary_query walk_src walk_db in
-  Alcotest.check q_t "lumped = direct" (Exact_noninflationary.eval q init)
-    (Exact_noninflationary.eval_lumped q init)
+  Alcotest.check q_t "lumped = full chain" (Full_chain.query_mass q init)
+    (Exact_noninflationary.eval q init)
 
 let test_eval_lumped_glauber () =
   (* The 72-state Glauber chain lumps dramatically under the colour event
@@ -386,8 +386,11 @@ let test_eval_lumped_glauber () =
   in
   let event = Workload.Coloring.color_event ~node:0 ~color:"c1" in
   let q = Forever.make ~kernel ~event in
-  Alcotest.check q_t "lumped Glauber = 1/4" (Q.of_ints 1 4)
-    (Exact_noninflationary.eval_lumped q db)
+  let a = Exact_noninflationary.analyse q db in
+  Alcotest.check q_t "lumped Glauber = 1/4" (Q.of_ints 1 4) a.Exact_noninflationary.result;
+  Alcotest.check q_t "full chain = 1/4" (Q.of_ints 1 4) (Full_chain.query_mass q db);
+  Alcotest.(check bool) "lumping shrinks the chain" true
+    (a.Exact_noninflationary.num_classes < a.Exact_noninflationary.num_states)
 
 let test_expected_hitting_time () =
   (* Walk a -> b (certain), b -> a/b half: from a, E[reach b] = 1. *)
@@ -726,26 +729,27 @@ let test_engine_domains_deterministic () =
 
 let test_analyse_lumped_diagnostics () =
   let q, init = noninflationary_query walk_src walk_db in
-  let a = Exact_noninflationary.analyse_lumped q init in
-  Alcotest.check q_t "lumped_result = eval_lumped" (Exact_noninflationary.eval_lumped q init)
-    a.Exact_noninflationary.lumped_result;
+  let a = Exact_noninflationary.analyse q init in
+  Alcotest.check q_t "result = eval" (Exact_noninflationary.eval q init)
+    a.Exact_noninflationary.result;
   Alcotest.(check bool) "lumping never grows the chain" true
-    (a.Exact_noninflationary.states_after <= a.Exact_noninflationary.states_before);
-  Alcotest.(check int) "walk chain has 2 states" 2 a.Exact_noninflationary.states_before
+    (a.Exact_noninflationary.num_classes <= a.Exact_noninflationary.num_states);
+  Alcotest.(check int) "walk chain has 2 states" 2 a.Exact_noninflationary.num_states
 
 let test_engine_lumped_diagnostics () =
   let parsed =
     parse
       "?C(Y) @W :- C(X), e(X, Y, W).\nC(a).\ne(a, b, 1).\ne(b, a, 1).\ne(b, b, 1).\n?- C(b)."
   in
-  let r = Engine.run ~semantics:Engine.Noninflationary ~method_:Engine.Exact_lumped parsed in
+  let r = Engine.run ~semantics:Engine.Noninflationary ~method_:Engine.Exact parsed in
   (match r.Engine.exact with
    | Some p -> Alcotest.check q_t "2/3" (Q.of_ints 2 3) p
    | None -> Alcotest.fail "exact expected");
   List.iter
     (fun k ->
       Alcotest.(check bool) (k ^ " reported") true (List.mem_assoc k r.Engine.diagnostics))
-    [ "chain states"; "lumped classes"; "lumped" ]
+    [ "chain states"; "lumped classes"; "irreducible"; "ergodic" ];
+  Alcotest.(check bool) "no lumped flag" false (List.mem_assoc "lumped" r.Engine.diagnostics)
 
 (* Independent walkers on lazy directed cycles of the given sizes (the E4
    product chain); the event puts walker 1 on its start node, so the exact
@@ -769,7 +773,7 @@ let walkers_source sizes =
 
 let test_engine_lumped_product () =
   let r =
-    Engine.run ~semantics:Engine.Noninflationary ~method_:Engine.Exact_lumped
+    Engine.run ~semantics:Engine.Noninflationary ~method_:Engine.Exact
       (parse (walkers_source [ 3; 3; 4 ]))
   in
   Alcotest.check q_t "1/3" (Q.of_ints 1 3) (Option.get r.Engine.exact);
@@ -809,8 +813,8 @@ let test_engine_plan_vs_interpreted () =
     (exact ~semantics:Engine.Inflationary Engine.Exact inf);
   Alcotest.check q_t "noninflationary exact" (Exact_noninflationary.eval nq ninit)
     (exact ~semantics:Engine.Noninflationary Engine.Exact noninf);
-  Alcotest.check q_t "noninflationary lumped" (Exact_noninflationary.eval nq ninit)
-    (exact ~semantics:Engine.Noninflationary Engine.Exact_lumped noninf);
+  Alcotest.check q_t "noninflationary full chain" (Full_chain.query_mass nq ninit)
+    (exact ~semantics:Engine.Noninflationary Engine.Exact noninf);
   let sampling = Engine.Sampling { eps = 0.1; delta = 0.1; burn_in = 8 } in
   let samples = Sample_inflationary.samples_needed ~eps:0.1 ~delta:0.1 in
   let rng () = Random.State.make [| 13 |] in

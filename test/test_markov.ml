@@ -455,6 +455,10 @@ let test_cheeger_bounds_bracket_mixing () =
 
 (* --- Lumping ---------------------------------------------------------------- *)
 
+(* Long-run mass of one event from state 0, solved on the lumped quotient. *)
+let lumped_mass ?(start = 0) chain ~event =
+  List.hd (snd (Lumping.long_run_masses chain ~start ~events:[ event ]))
+
 let test_lump_symmetric_cycle () =
   (* Lazy 4-cycle with an event on one state: symmetry lets the two
      off-event neighbours lump together. *)
@@ -469,8 +473,7 @@ let test_lump_symmetric_cycle () =
   in
   let r = Lumping.lump ~initial:(fun s -> if s = 0 then 1 else 0) lazy4 in
   Alcotest.(check bool) "fewer classes" true (r.Lumping.num_classes < 4);
-  Alcotest.check q_t "event mass = 1/4" (q_of_ints 1 4)
-    (Lumping.stationary_event_mass lazy4 ~event:(fun s -> s = 0))
+  Alcotest.check q_t "event mass = 1/4" (q_of_ints 1 4) (lumped_mass lazy4 ~event:(fun s -> s = 0))
 
 let test_lump_trivial_labelling () =
   (* With everything labelled alike and a doubly-stochastic chain, one class
@@ -489,7 +492,7 @@ let test_lump_heterogeneous_not_merged () =
   let r' = Lumping.lump ~initial:(fun s -> s) two_state in
   Alcotest.(check int) "event labels stay split" 2 r'.Lumping.num_classes;
   Alcotest.check q_t "event mass matches direct" (q_of_ints 2 3)
-    (Lumping.stationary_event_mass two_state ~event:(fun s -> s = 1))
+    (lumped_mass two_state ~event:(fun s -> s = 1))
 
 let test_lump_product_coarsest () =
   (* Two independent lazy directed 3-cycles, event on walker 1: the
@@ -511,14 +514,55 @@ let test_lump_product_coarsest () =
     (List.for_all
        (fun s -> r.Lumping.class_of.(s) = r.Lumping.class_of.(state (s / 3) 0))
        (List.init 9 Fun.id));
-  Alcotest.check q_t "event mass = 1/3" (q 1 3) (Lumping.stationary_event_mass chain ~event)
+  Alcotest.check q_t "event mass = 1/3" (q 1 3) (lumped_mass chain ~event)
 
 let prop_lumping_matches_direct =
   QCheck.Test.make ~name:"lumped stationary event mass = direct" ~count:40 arb_chain (fun c ->
       let pi = Stationary.exact c in
       let event s = s mod 2 = 0 in
       let direct = Q.sum (List.filteri (fun i _ -> event i) (Array.to_list pi)) in
-      Q.equal direct (Lumping.stationary_event_mass c ~event))
+      Q.equal direct (lumped_mass c ~event))
+
+(* Random sparse chains, mostly reducible, with a labelling into {0, 1, 2}.
+   Weights from {1, 2} and at most 3 successors make equal class weights
+   (and so non-trivial lumpings) common; rows may repeat a successor. *)
+let arb_labelled_chain =
+  let gen =
+    QCheck.Gen.(
+      let* n = int_range 1 10 in
+      let* rows = list_repeat n (list_size (int_range 1 3) (pair (int_bound (n - 1)) (int_range 1 2))) in
+      let* labels = list_repeat n (int_bound 2) in
+      let* start = int_bound (n - 1) in
+      let row ws =
+        let total = List.fold_left (fun acc (_, w) -> acc + w) 0 ws in
+        List.map (fun (t, w) -> (t, Q.of_ints w total)) ws
+      in
+      return
+        ( Chain.of_rows (Array.init n Fun.id) (Array.of_list (List.map row rows)),
+          Array.of_list labels,
+          start ))
+  in
+  QCheck.make
+    ~print:(fun (c, labels, start) ->
+      Format.asprintf "start %d, labels [%s]@.%a" start
+        (String.concat ";" (Array.to_list (Array.map string_of_int labels)))
+        (Chain.pp Format.pp_print_int) c)
+    gen
+
+let prop_lump_matches_rounds =
+  QCheck.Test.make ~name:"splitter lump = round-based refinement (class_of)" ~count:500
+    arb_labelled_chain (fun (c, labels, _) ->
+      let initial s = labels.(s) in
+      let r = Lumping.lump ~initial c in
+      r.Lumping.class_of = Full_chain.lump_rounds ~initial c
+      && r.Lumping.num_classes = Chain.num_states r.Lumping.quotient)
+
+let prop_lumped_reducible_matches_full =
+  QCheck.Test.make ~name:"Thm 5.5 on the quotient = on the full chain (reducible)" ~count:300
+    arb_labelled_chain (fun (c, labels, start) ->
+      QCheck.assume (Scc.num_components (Scc.of_chain c) > 1);
+      let event s = labels.(s) = 0 in
+      Q.equal (Full_chain.event_mass c ~start ~event) (lumped_mass ~start c ~event))
 
 (* --- Chain_io ----------------------------------------------------------------- *)
 
@@ -676,7 +720,9 @@ let () =
           Alcotest.test_case "trivial labelling" `Quick test_lump_trivial_labelling;
           Alcotest.test_case "heterogeneous split" `Quick test_lump_heterogeneous_not_merged;
           Alcotest.test_case "product chain coarsest" `Quick test_lump_product_coarsest;
-          QCheck_alcotest.to_alcotest prop_lumping_matches_direct
+          QCheck_alcotest.to_alcotest prop_lumping_matches_direct;
+          QCheck_alcotest.to_alcotest prop_lump_matches_rounds;
+          QCheck_alcotest.to_alcotest prop_lumped_reducible_matches_full
         ] );
       ( "chain-io",
         [ Alcotest.test_case "roundtrip" `Quick test_chain_io_roundtrip;

@@ -194,6 +194,17 @@ let test_ctable_validation () =
     Alcotest.fail "expected undeclared var error"
   with Ctable.Ctable_error _ -> ()
 
+let test_ctable_repeated_value () =
+  (* Sums to 1, but lists [a] twice: a valuation could not pick one weight. *)
+  let x =
+    { Ctable.vname = "x";
+      domain = [ (v_str "a", Q.half); (v_str "a", Q.of_ints 1 4); (v_str "b", Q.of_ints 1 4) ] }
+  in
+  match Ctable.make ~vars:[ x ] ~tables:[] with
+  | _ -> Alcotest.fail "expected repeated value error"
+  | exception Ctable.Ctable_error m ->
+    Alcotest.(check string) "message" "distribution of x lists a value twice" m
+
 let test_ctable_sample_valuation () =
   let rng = Random.State.make [| 3 |] in
   let n = 10_000 in
@@ -588,6 +599,7 @@ let () =
           Alcotest.test_case "num worlds saturates, count is exact (64 flags)" `Quick
             test_ctable_num_worlds_saturates;
           Alcotest.test_case "validation" `Quick test_ctable_validation;
+          Alcotest.test_case "repeated value" `Quick test_ctable_repeated_value;
           Alcotest.test_case "sample valuation" `Slow test_ctable_sample_valuation;
           Alcotest.test_case "certain" `Quick test_ctable_certain
         ] );

@@ -289,6 +289,23 @@ let test_invalid_sampling_params () =
         (check_ok
            (Serve.Client.rpc_json c (Serve.Jsonr.parse {|{"op":"ping","id":"p","tenant":"t1"}|}))))
 
+(* The retired lumped method is refused like any unknown method: every
+   exact non-inflationary answer is already solved on the lumped chain. *)
+let test_lumped_method_refused () =
+  with_server (fun path _t ->
+      let c = Serve.Client.connect_unix ~retry_ms:2000 path in
+      Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
+      let resp =
+        obj
+          (Serve.Client.rpc_json c
+             (Serve.Jsonr.parse
+                {|{"op":"query","id":"l","tenant":"t1","semantics":"noninflationary","method":"lumped","source":"?C(Y) @W :- C(X), e(X, Y, W). C(a). e(a, b, 1). e(b, a, 1). ?- C(b)."}|}))
+      in
+      Alcotest.check json "refused" (J.Bool false) (get resp "ok");
+      Alcotest.check json "unknown method"
+        (J.Str {|unknown method "lumped" (exact|sample|partitioned|time-average)|})
+        (get resp "error"))
+
 (* --- per-tenant budgets, cancellation, admission --------------------------- *)
 
 (* A slow request: pool-sharded sampling with an injected per-sample delay
@@ -1510,6 +1527,7 @@ let () =
         [ Alcotest.test_case "load/query/estimate/stats/cancel" `Quick test_server_end_to_end;
           Alcotest.test_case "invalid sampling parameters refused" `Quick
             test_invalid_sampling_params;
+          Alcotest.test_case "lumped method refused" `Quick test_lumped_method_refused;
           Alcotest.test_case "cancel an in-flight request" `Quick test_cancel_inflight;
           Alcotest.test_case "per-tenant admission control" `Quick test_admission_control;
           Alcotest.test_case "per-tenant budget degrades per class" `Quick
