@@ -15,6 +15,11 @@ let read_parsed path =
   | Prob.Ctable.Ctable_error msg -> Error msg
   | Sys_error msg -> Error msg
 
+(* The input restricted to the events' joint cone, as [Eval.Engine.prepare]
+   restricts it to one event's. *)
+let slice_to events parsed =
+  Lang.Slice.slice ~roots:(List.map (fun e -> e.Lang.Event.relation) events) parsed
+
 let semantics_conv =
   let parse = function
     | "inflationary" | "inf" -> Ok Eval.Engine.Inflationary
@@ -317,16 +322,12 @@ let run_cmd =
           if List.exists is_partial reports then 3 else 0
         | events -> (
           (* Several ?- events: answer them all.  Under non-inflationary
-             exact evaluation the chain is built and decomposed once. *)
+             exact evaluation the chain of the events' joint cone is built
+             and decomposed once. *)
           match (semantics, method_) with
           | Eval.Engine.Noninflationary, Eval.Engine.Exact ->
-            let program = parsed.Lang.Parser.program in
             let kernel, init =
-              match Lang.Parser.ctable_of parsed with
-              | Some ct -> Lang.Compile.noninflationary_kernel_ctable program ct
-              | None ->
-                Lang.Compile.noninflationary_kernel program
-                  (Lang.Parser.database_of_facts parsed.Lang.Parser.facts)
+              Eval.Engine.noninflationary_kernel (slice_to events parsed).Lang.Slice.parsed
             in
             let results =
               Eval.Exact_noninflationary.eval_events ~max_states ~guard ~kernel ~events init
@@ -402,6 +403,14 @@ let check_cmd =
       (match parsed.Lang.Parser.event with
        | Some e -> Format.printf "event: %a@," Lang.Event.pp e
        | None -> Format.printf "event: (none)@,");
+      (match parsed.Lang.Parser.events with
+       | [] -> ()
+       | events ->
+         let s = slice_to events parsed in
+         let names = function [] -> "(none)" | l -> String.concat ", " l in
+         Format.printf "cone relations: %s (%s)@," (Lang.Slice.describe s)
+           (names s.Lang.Slice.cone);
+         Format.printf "dropped relations: %s@," (names s.Lang.Slice.dropped));
       Format.printf "@]@.";
       0
   in
@@ -510,15 +519,14 @@ let hitting_cmd =
         Format.eprintf "error: program has no ?- event@.";
         1
       | Some event -> (
-        let program = parsed.Lang.Parser.program in
-        let db = Lang.Parser.database_of_facts parsed.Lang.Parser.facts in
-        let kernel, init =
-          match Lang.Parser.ctable_of parsed with
-          | Some ct -> Lang.Compile.noninflationary_kernel_ctable program ct
-          | None -> Lang.Compile.noninflationary_kernel program db
-        in
-        let query = Lang.Forever.make ~kernel ~event in
         try
+          let kernel, init =
+            Eval.Engine.noninflationary_kernel (slice_to [ event ] parsed).Lang.Slice.parsed
+          in
+          let query =
+            Lang.Forever.compile ~schema_of:(Lang.Compile.schema_of_database init)
+              (Lang.Forever.make ~kernel ~event)
+          in
           (match Eval.Exact_noninflationary.expected_hitting_time ~max_states query init with
            | Some t ->
              Format.printf "expected steps until %a first holds: %s (~%.6f)@." Lang.Event.pp event
@@ -526,7 +534,7 @@ let hitting_cmd =
            | None ->
              Format.printf "the event is reached with probability < 1: expectation is infinite@.");
           0
-        with Markov.Chain.Chain_error msg ->
+        with Markov.Chain.Chain_error msg | Lang.Compile.Compile_error msg ->
           Format.eprintf "error: %s@." msg;
           1))
   in

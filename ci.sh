@@ -35,11 +35,11 @@ semantics_of () {
 echo "== probdl smoke: magic-sets rewrite =="
 # The --magic demand rewrite must not change any answer of any example
 # program.  Only the diagnostics rows (plan strategy, magic stats,
-# visited-state counts) and the structural rows describing the
-# possibly-rewritten program may differ.
+# visited-state counts) may differ: the structural rows describe the input
+# as written.
 strategy_answer () {
   "$PROBDL" run "$2" -s "$3" --seed 7 $1 \
-    | grep -vE '^(plan|magic|states visited|fixpoints|rules|linear|repair-key)'
+    | grep -vE '^(plan|magic|states visited|fixpoints)'
 }
 for prog in examples/programs/*.pdl; do
   sem=$(semantics_of "$prog")
@@ -92,7 +92,8 @@ if method != "lineage" or exact != "1/8":
     sys.exit(f"pc-table method {method!r}, exact {exact!r}: want lineage, 1/8")
 ' || { echo "lineage stats check failed for uncertain_reach.pdl" >&2; exit 1; }
 # Every exact non-inflationary answer is solved on the lumped chain, even a
-# reducible one such as the coin chain.
+# reducible one such as the coin chain, and reports the event's cone and
+# the time spent slicing to it.
 "$PROBDL" run examples/programs/coin_flip.pdl -s noninflationary --stats-json | python3 -c '
 import json, sys
 doc = json.load(sys.stdin)
@@ -100,8 +101,11 @@ diags, exact = doc["diagnostics"], doc["exact"]
 states, classes = diags.get("chain states"), diags.get("lumped classes")
 if exact != "1/3" or states is None or classes is None or int(classes) > int(states):
     sys.exit(f"exact {exact!r}, lumped classes {classes!r}, chain states {states!r}: want 1/3, classes <= states")
+cone, phases = diags.get("cone relations", ""), sorted(doc["phases"])
+if " of " not in cone or "slice" not in phases:
+    sys.exit(f"cone relations {cone!r}, phases {phases!r}: want i of n and a slice phase")
 ' || { echo "lumped stats check failed for coin_flip.pdl" >&2; exit 1; }
-echo "ok: --stats-json documents parse with engine/steps/draws/elapsed_ms/outcome/downgrade; pc-table lineage answers 1/8; coin_flip lumps"
+echo "ok: --stats-json documents parse with engine/steps/draws/elapsed_ms/outcome/downgrade; pc-table lineage answers 1/8; coin_flip lumps and reports its cone"
 
 echo "== trace smoke =="
 # --trace files must be valid Chrome trace-event JSON: known phase values,

@@ -142,6 +142,14 @@ let check_sampling ~eps ~delta ~burn_in =
   if not (delta > 0.0 && delta < 1.0) then err "delta must lie in (0, 1), got %g" delta;
   if burn_in < 0 then err "burn-in must be non-negative, got %d" burn_in
 
+let noninflationary_kernel (parsed : Lang.Parser.parsed) =
+  let program = parsed.Lang.Parser.program in
+  match Lang.Parser.ctable_of parsed with
+  | Some ct -> Lang.Compile.noninflationary_kernel_ctable program ct
+  | None ->
+    Lang.Compile.noninflationary_kernel program
+      (Lang.Parser.database_of_facts parsed.Lang.Parser.facts)
+
 let prepare ?(magic = false) ~semantics ~method_ (parsed : Lang.Parser.parsed) =
   (match method_ with
    | Sampling { eps; delta; burn_in } -> check_sampling ~eps ~delta ~burn_in
@@ -154,6 +162,14 @@ let prepare ?(magic = false) ~semantics ~method_ (parsed : Lang.Parser.parsed) =
     | Some e -> e
     | None -> err "program has no ?- event"
   in
+  (* Everything below sees only the event's cone: rules, facts and pc-table
+     variables the event cannot depend on are gone before any kernel is
+     built (engine.mli says why the answer is unchanged). *)
+  let input = parsed in
+  let sliced =
+    Obs.phase "slice" (fun () -> Lang.Slice.slice ~roots:[ event.Lang.Event.relation ] input)
+  in
+  let parsed = sliced.Lang.Slice.parsed in
   let program = parsed.Lang.Parser.program in
   (* Magic-sets demand rewrite: specialise program and event to the ground
      tuple the event asks about.  Only the inflationary semantics supports
@@ -202,10 +218,12 @@ let prepare ?(magic = false) ~semantics ~method_ (parsed : Lang.Parser.parsed) =
   in
   let domain_diags env = [ ("domains", string_of_int env.env_domains) ] in
   let base_diags =
-    [ ("rules", string_of_int (List.length program));
-      ("facts", string_of_int (List.length parsed.Lang.Parser.facts));
-      ("linear", string_of_bool (Lang.Linearity.is_linear program));
-      ("repair-key on base only", string_of_bool (Lang.Linearity.repair_key_on_base_only program))
+    [ ("rules", string_of_int (List.length input.Lang.Parser.program));
+      ("facts", string_of_int (List.length input.Lang.Parser.facts));
+      ("cone relations", Lang.Slice.describe sliced);
+      ("linear", string_of_bool (Lang.Linearity.is_linear input.Lang.Parser.program));
+      ( "repair-key on base only",
+        string_of_bool (Lang.Linearity.repair_key_on_base_only input.Lang.Parser.program) )
     ]
     @ magic_diags
   in
@@ -288,12 +306,8 @@ let prepare ?(magic = false) ~semantics ~method_ (parsed : Lang.Parser.parsed) =
     match (semantics, method_, ctable) with
       | Inflationary, Time_average _, _ ->
         err "time-average evaluation applies to non-inflationary queries"
-      | Noninflationary, Time_average { steps; burn_in }, ct ->
-        let kernel, init =
-          match ct with
-          | Some ct -> Lang.Compile.noninflationary_kernel_ctable program ct
-          | None -> Lang.Compile.noninflationary_kernel program db
-        in
+      | Noninflationary, Time_average { steps; burn_in }, _ ->
+        let kernel, init = noninflationary_kernel parsed in
         let query = compile_query init (Lang.Forever.make ~kernel ~event) in
         fun env ->
           let p =
@@ -361,12 +375,8 @@ let prepare ?(magic = false) ~semantics ~method_ (parsed : Lang.Parser.parsed) =
               Relational.Database.empty
           in
           sample_report env r ~diags:[ ("samples", string_of_int samples) ]
-      | Noninflationary, Exact, ct -> begin
-        let kernel, init =
-          match ct with
-          | Some ct -> Lang.Compile.noninflationary_kernel_ctable program ct
-          | None -> Lang.Compile.noninflationary_kernel program db
-        in
+      | Noninflationary, Exact, _ -> begin
+        let kernel, init = noninflationary_kernel parsed in
         let query = compile_query init (Lang.Forever.make ~kernel ~event) in
         fun env ->
           match
@@ -387,12 +397,8 @@ let prepare ?(magic = false) ~semantics ~method_ (parsed : Lang.Parser.parsed) =
               ~fallback:(fun ~eps ~delta ~burn_in ~downgrade ->
                 fallback_noninflationary env ~query ~init ~eps ~delta ~burn_in ~downgrade)
       end
-      | Noninflationary, Sampling { eps; delta; burn_in }, ct ->
-        let kernel, init =
-          match ct with
-          | Some ct -> Lang.Compile.noninflationary_kernel_ctable program ct
-          | None -> Lang.Compile.noninflationary_kernel program db
-        in
+      | Noninflationary, Sampling { eps; delta; burn_in }, _ ->
+        let kernel, init = noninflationary_kernel parsed in
         let query = compile_query init (Lang.Forever.make ~kernel ~event) in
         let samples = Sample_inflationary.samples_needed ~eps ~delta in
         fun env ->

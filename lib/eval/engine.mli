@@ -1,5 +1,27 @@
 (** Uniform front-end over the four engines, used by the CLI and examples:
-    parse → compile under the chosen semantics → evaluate. *)
+    parse → slice to the event's cone → compile under the chosen semantics
+    → evaluate.
+
+    {b Cone slicing.}  {!prepare} first restricts the input to the event's
+    cone ({!Lang.Slice}): the event relation, closed backwards over the
+    rules through positive and negated body atoms.  Rules whose head is
+    outside the cone, facts and conditional facts of relations outside it,
+    and pc-table variables that no kept condition mentions are dropped
+    before any kernel, chain, fixpoint or sample is built, so every method
+    runs on the slice.  This is sound because the cone is
+    dependency-closed — a cone relation's next value is computed from cone
+    relations only — and because each rule's repair-key draws are
+    independent of every other rule's.  Projecting a database state onto
+    the cone is then a strongly lumpable map of the state chain: from the
+    projected start state the projected process has the same law as the
+    sliced program's.  The event reads only the cone, so its long-run mass
+    (Prop 5.4 / Thm 5.5), its probability at the inflationary fixpoint
+    (Prop 4.4) and its hitting times are unchanged; out-of-cone pc-table
+    variables marginalise out of the world average.  A product of
+    independent walkers with the event on one of them is thus answered on
+    that walker's chain alone.  Out-of-cone repair-key draws no longer
+    consume the sampler's RNG, so fixed-seed estimates differ from an
+    unsliced run's, with the same guarantee. *)
 
 type semantics =
   | Inflationary
@@ -111,12 +133,21 @@ val prepare :
   method_:method_ ->
   Lang.Parser.parsed ->
   prepared
-(** Compile-time half of {!run}: same defaults and diagnostics.  Raises
+(** Compile-time half of {!run}: same defaults and diagnostics.  The
+    input is sliced to the event's cone first (an [Obs] phase "slice"),
+    and the report's ["cone relations"] row reads ["i of n"]; the
+    ["rules"], ["facts"], ["linear"] and ["repair-key on base only"] rows
+    describe the input as written.  Raises
     {!Engine_error} when the input lacks a [?-] event, the method does not
     apply to the semantics, or the method's parameters are out of range
     ([eps] and [delta] must lie in (0, 1), [burn_in] must be [>= 0],
-    [steps] must be [> 0]).  Phases ("rewrite"/"compile") are recorded
+    [steps] must be [> 0]).  Phases ("slice"/"rewrite"/"compile") are recorded
     into the current {!Obs} scope when stats are enabled there. *)
+
+val noninflationary_kernel :
+  Lang.Parser.parsed -> Prob.Interp.t * Relational.Database.t
+(** The non-inflationary kernel of an input as given (certain facts or a
+    pc-table) and its initial database; no slicing. *)
 
 val execute :
   ?seed:int ->

@@ -101,19 +101,7 @@ let rewrite ~(event : Event.t) (program : D.program) =
     List.map (fun (a : D.atom) -> a.D.pred) (r.D.body @ r.D.neg)
   in
   (* Pass 1: predicates reachable from the event. *)
-  let reachable =
-    let rec go seen = function
-      | [] -> seen
-      | p :: rest when SS.mem p seen -> go seen rest
-      | p :: rest ->
-          let seen = SS.add p seen in
-          let next =
-            if SS.mem p idb then List.concat_map body_preds (rules_of p) else []
-          in
-          go seen (next @ rest)
-    in
-    go SS.empty [ event.Event.relation ]
-  in
+  let reachable = SS.of_list (Slice.cone ~roots:[ event.Event.relation ] program) in
   let kept =
     List.filter (fun (r : D.rule) -> SS.mem r.D.head.D.hpred reachable) program
   in

@@ -50,6 +50,10 @@ val tables : t -> (string * string list * row list) list
 val flag : p:Q.t -> string -> var
 (** [flag ~p x] is a boolean variable that is [true] with probability [p]. *)
 
+val cond_vars : string list -> cond -> string list
+(** [cond_vars acc c] prepends the variables [c] mentions to [acc]
+    (repeats kept). *)
+
 type valuation = (string * Value.t) list
 
 val valuations : t -> valuation Seq.t

@@ -361,6 +361,202 @@ let test_non_hierarchical_grid () =
     (match how with Eval.Exact_inflationary.Lineage _ -> true | Eval.Exact_inflationary.Worlds -> false);
   Alcotest.(check string) "exact" (Q.to_string (Q.of_ints !hits (1 lsl 15))) (Q.to_string p)
 
+(* Cone slicing.  The engine answers on the event's cone ({!Lang.Slice});
+   the references are the lower layers, which do not slice, run on the
+   whole input: Exact_inflationary, Exact_noninflationary.eval and the
+   full-chain solve.  Every random program gets an out-of-cone relation
+   [Z] with a repair-key rule of its own that reads the in-cone edges; its
+   pc-table variant also gets an out-of-cone [z] whose rows mention the
+   variable [c] and a variable [u] that nothing in the cone reads. *)
+let with_out_of_cone (case : Workload.Progen.case) =
+  case.Workload.Progen.program
+  @ (Lang.Parser.parse "?Z(<X>, Y) :- z(X), e(X, Y).").Lang.Parser.program
+
+let engine_exact ~semantics parsed =
+  let r = Eval.Engine.run ~max_states:400 ~semantics ~method_:Eval.Engine.Exact parsed in
+  Option.get r.Eval.Engine.exact
+
+let unsliced_inflationary program db event =
+  let kernel, init = Lang.Compile.inflationary_kernel program db in
+  Eval.Exact_inflationary.eval
+    (Lang.Inflationary.of_forever_unchecked (Lang.Forever.make ~kernel ~event))
+    init
+
+(* The non-inflationary references on the unsliced kernel: the lumped
+   solve and, with [full], the full-chain solve too (its dense elimination
+   is kept to certain inputs, whose chains stay small).  [None] when the
+   chain passes the state cap. *)
+let unsliced_noninflationary ?(full = true) (kernel, init) event =
+  let q = Lang.Forever.make ~kernel ~event in
+  match Eval.Exact_noninflationary.eval ~max_states:400 q init with
+  | exception Markov.Chain.Chain_error _ -> None
+  | lumped -> Some (lumped, if full then Full_chain.query_mass ~max_states:400 q init else lumped)
+
+let check_noninflationary ~engine reference =
+  match reference with
+  | None -> QCheck.assume_fail ()
+  | Some (lumped, full) -> Q.equal lumped full && Q.equal (engine ()) lumped
+
+let facts_of_database db =
+  List.concat_map
+    (fun (name, r) ->
+      List.map (fun t -> (name, Relational.Tuple.to_list t)) (Relational.Relation.tuples r))
+    (Database.bindings db)
+
+let prop_slice_certain =
+  QCheck.Test.make ~name:"slicing: sliced = unsliced, certain inputs, both semantics" ~count:25
+    arb_case (fun seed ->
+      let case = case_of seed in
+      let program = with_out_of_cone case and event = case.Workload.Progen.event in
+      let facts =
+        (("z", [ Relational.Value.Str "a" ]) :: facts_of_database case.Workload.Progen.database)
+      in
+      let parsed =
+        { Lang.Parser.program; facts; vars = []; cond_facts = []; event = Some event;
+          events = [ event ] }
+      in
+      let db = Lang.Parser.database_of_facts facts in
+      Q.equal
+        (engine_exact ~semantics:Eval.Engine.Inflationary parsed)
+        (unsliced_inflationary program db event)
+      && check_noninflationary
+           ~engine:(fun () -> engine_exact ~semantics:Eval.Engine.Noninflationary parsed)
+           (unsliced_noninflationary (Lang.Compile.noninflationary_kernel program db) event))
+
+let prop_slice_pctable =
+  QCheck.Test.make ~name:"slicing: sliced = unsliced, pc-table inputs, both semantics" ~count:12
+    arb_case (fun seed ->
+      let case, ct = pctable_of_case seed in
+      let program = with_out_of_cone case and event = case.Workload.Progen.event in
+      let value s = Relational.Value.Str s in
+      let cond_facts =
+        ("z", [ value "a" ], Ctable.CEq (Ctable.TVar "c", Ctable.TLit (Relational.Value.Int 1)))
+        :: ("z", [ value "b" ], Ctable.CEq (Ctable.TVar "u", Ctable.TLit (Relational.Value.Bool true)))
+        :: List.concat_map
+             (fun (name, _, rows) ->
+               List.map
+                 (fun r -> (name, Relational.Tuple.to_list r.Ctable.tuple, r.Ctable.cond))
+                 rows)
+             (Ctable.tables ct)
+      in
+      let parsed =
+        { Lang.Parser.program; facts = []; vars = Ctable.vars ct @ [ Ctable.flag ~p:Q.half "u" ];
+          cond_facts; event = Some event; events = [ event ] }
+      in
+      let full = Option.get (Lang.Parser.ctable_of parsed) in
+      Q.equal
+        (engine_exact ~semantics:Eval.Engine.Inflationary parsed)
+        (by_enumeration program event full)
+      && check_noninflationary
+           ~engine:(fun () -> engine_exact ~semantics:Eval.Engine.Noninflationary parsed)
+           (unsliced_noninflationary ~full:false
+              (Lang.Compile.noninflationary_kernel_ctable program full)
+              event))
+
+(* Fixed cases: each is answered by the engine under both semantics and
+   compared with the unsliced references. *)
+let both_semantics ~name ?(expect = fun _ -> ()) src =
+  let parsed = Lang.Parser.parse src in
+  let event = Option.get parsed.Lang.Parser.event in
+  let program = parsed.Lang.Parser.program in
+  let ctable = Lang.Parser.ctable_of parsed in
+  let inflationary =
+    match ctable with
+    | Some ct -> by_enumeration program event ct
+    | None ->
+      unsliced_inflationary program (Lang.Parser.database_of_facts parsed.Lang.Parser.facts) event
+  in
+  let q_t = Alcotest.testable Q.pp Q.equal in
+  Alcotest.check q_t (name ^ ": inflationary")
+    inflationary (engine_exact ~semantics:Eval.Engine.Inflationary parsed);
+  let kernel = Eval.Engine.noninflationary_kernel parsed in
+  (match unsliced_noninflationary ~full:(Option.is_none ctable) kernel event with
+   | None -> Alcotest.fail "reference chain too large"
+   | Some (lumped, full) ->
+     Alcotest.check q_t (name ^ ": lumped = full chain") lumped full;
+     Alcotest.check q_t (name ^ ": non-inflationary") lumped
+       (engine_exact ~semantics:Eval.Engine.Noninflationary parsed));
+  expect (inflationary, Lang.Slice.slice ~roots:[ event.Lang.Event.relation ] parsed)
+
+let cone_of (s : Lang.Slice.t) = s.Lang.Slice.cone
+let strings = Alcotest.(list string)
+
+let test_slice_underived_event () =
+  both_semantics ~name:"edb event"
+    ~expect:(fun (p, s) ->
+      Alcotest.(check bool) "holds" true (Q.equal p Q.one);
+      Alcotest.check strings "cone" [ "e" ] (cone_of s);
+      Alcotest.check strings "dropped" [ "R"; "Z" ] s.Lang.Slice.dropped;
+      Alcotest.(check int) "no rule left" 0 (List.length s.Lang.Slice.parsed.Lang.Parser.program))
+    "e(a, b).\ne(b, c).\nR(X) :- e(X, Y).\n?Z(<X>, Y) :- e(X, Y).\n?- e(a, b)."
+
+let test_slice_missing_relation () =
+  both_semantics ~name:"missing relation"
+    ~expect:(fun (p, s) ->
+      Alcotest.(check bool) "never holds" true (Q.equal p Q.zero);
+      Alcotest.check strings "cone" [] (cone_of s);
+      Alcotest.(check string) "describe" "0 of 3" (Lang.Slice.describe s);
+      Alcotest.(check int) "no fact left" 0 (List.length s.Lang.Slice.parsed.Lang.Parser.facts))
+    "e(a, b).\nR(X) :- e(X, Y).\n?Z(<X>, Y) :- e(X, Y).\n?- Ghost(a)."
+
+(* [T] enters the cone only through the negated atom of [D]'s rule; with
+   [T] dropped [D(b)] would hold with probability 1. *)
+let test_slice_negation () =
+  both_semantics ~name:"negation"
+    ~expect:(fun (p, s) ->
+      Alcotest.(check bool) "T matters" true (Q.compare p Q.one < 0);
+      Alcotest.check strings "cone" [ "D"; "P"; "R"; "T"; "e"; "s" ] (cone_of s);
+      Alcotest.check strings "dropped" [ "Z"; "z" ] s.Lang.Slice.dropped)
+    "s(a).\ne(a, b).\ne(a, c).\nz(a).\nR(X) :- s(X).\nR(Y) :- R(X), e(X, Y).\n\
+     ?P(<X>, Y) :- s(X), e(X, Y).\nT(Y) :- P(X, Y).\nD(X) :- R(X), !T(X).\n\
+     ?Z(<X>, Y) :- z(X), e(X, Y).\n?- D(b)."
+
+(* [x] guards rows of both [a] (in the cone) and [b] (outside it); [y] only
+   guards [b]'s, and [w] only an [a] row, through [!=].  The slice keeps
+   [x] and [w] and drops [y]. *)
+let test_slice_shared_variable () =
+  both_semantics ~name:"shared variable"
+    ~expect:(fun (p, s) ->
+      Alcotest.(check bool) "1/2" true (Q.equal p Q.half);
+      Alcotest.check strings "variables" [ "x"; "w" ]
+        (List.map (fun v -> v.Ctable.vname) s.Lang.Slice.parsed.Lang.Parser.vars);
+      Alcotest.(check int) "a's rows" 2 (List.length s.Lang.Slice.parsed.Lang.Parser.cond_facts))
+    "var x = { true: 1/2, false: 1/2 }.\nvar y = { true: 1/3, false: 2/3 }.\n\
+     var w = { true: 1/4, false: 3/4 }.\n\
+     a(u) when x = true.\na(v) when w != true.\nb(u) when x = true.\nb(v) when y = true.\n\
+     A(X) :- a(X).\n?- A(u)."
+
+(* Lazy-cycle walkers ([Workload.Graphs.cycle]) with the event on walker 1. *)
+let walkers sizes ~event =
+  let b = Buffer.create 512 in
+  List.iteri
+    (fun i k ->
+      let w = i + 1 in
+      Buffer.add_string b (Printf.sprintf "?C%d(Y) @W :- C%d(X), e%d(X, Y, W).\nC%d(n0).\n" w w w w);
+      List.iter
+        (fun { Workload.Graphs.src; dst; weight } ->
+          Buffer.add_string b
+            (Printf.sprintf "e%d(%s, %s, %d).\n" w (Workload.Graphs.node_name src)
+               (Workload.Graphs.node_name dst) weight))
+        (Workload.Graphs.cycle k))
+    sizes;
+  Buffer.add_string b (Printf.sprintf "?- %s." event);
+  Lang.Parser.parse (Buffer.contents b)
+
+let test_slice_hitting_product () =
+  let hitting parsed =
+    let kernel, init = Eval.Engine.noninflationary_kernel parsed in
+    let event = Option.get parsed.Lang.Parser.event in
+    Option.get (Eval.Exact_noninflationary.expected_hitting_time (Lang.Forever.make ~kernel ~event) init)
+  in
+  let product = walkers [ 4; 3; 3 ] ~event:"C1(n2)" in
+  let single = walkers [ 4 ] ~event:"C1(n2)" in
+  let sliced = (Lang.Slice.slice ~roots:[ "C1" ] product).Lang.Slice.parsed in
+  let q_t = Alcotest.testable Q.pp Q.equal in
+  Alcotest.check q_t "single walker" (Q.of_int 4) (hitting single);
+  Alcotest.check q_t "unsliced product" (hitting single) (hitting product);
+  Alcotest.check q_t "sliced product" (hitting single) (hitting sliced)
+
 let () =
   Alcotest.run "differential"
     [ ( "random-programs",
@@ -379,8 +575,17 @@ let () =
             prop_seminaive_matches_naive;
             prop_magic_matches_unrewritten;
             prop_engine_matches_direct;
-            prop_lineage_matches_worlds
+            prop_lineage_matches_worlds;
+            prop_slice_certain;
+            prop_slice_pctable
           ] );
+      ( "cone slicing",
+        [ Alcotest.test_case "event on an underived relation" `Quick test_slice_underived_event;
+          Alcotest.test_case "event on a missing relation" `Quick test_slice_missing_relation;
+          Alcotest.test_case "negated atom joins the cone" `Quick test_slice_negation;
+          Alcotest.test_case "variable shared across the cone" `Quick test_slice_shared_variable;
+          Alcotest.test_case "hitting time on a product" `Quick test_slice_hitting_product
+        ] );
       ( "pc-tables",
         [ Alcotest.test_case "non-hierarchical 3x3 grid: lineage = counted valuations" `Quick
             test_non_hierarchical_grid

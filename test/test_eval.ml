@@ -771,16 +771,42 @@ let walkers_source sizes =
   Buffer.add_string b "?- C1(n0).";
   Buffer.contents b
 
+(* The event reads walker 1 only, so the engine slices the other two
+   walkers away and explores walker 1's 3-cycle, not the 36-state
+   product. *)
 let test_engine_lumped_product () =
   let r =
     Engine.run ~semantics:Engine.Noninflationary ~method_:Engine.Exact
       (parse (walkers_source [ 3; 3; 4 ]))
   in
   Alcotest.check q_t "1/3" (Q.of_ints 1 3) (Option.get r.Engine.exact);
-  Alcotest.(check (option string)) "chain states" (Some "36")
+  Alcotest.(check (option string)) "cone relations" (Some "2 of 6")
+    (List.assoc_opt "cone relations" r.Engine.diagnostics);
+  Alcotest.(check (option string)) "chain states" (Some "3")
     (List.assoc_opt "chain states" r.Engine.diagnostics);
   Alcotest.(check (option string)) "lumped classes" (Some "3")
     (List.assoc_opt "lumped classes" r.Engine.diagnostics)
+
+(* An event that reads every walker keeps the whole product: the engine
+   explores and lumps the same chain as the unsliced kernel. *)
+let test_engine_every_walker_product () =
+  let src = walkers_source [ 3; 3; 4 ] ^ "\nMeet(X) :- C1(X), C2(X), C3(X).\n?- Meet(n0)." in
+  let parsed = parse src in
+  let parsed = { parsed with Parser.event = Some (List.nth parsed.Parser.events 1) } in
+  let r = Engine.run ~semantics:Engine.Noninflationary ~method_:Engine.Exact parsed in
+  let kernel, init = Engine.noninflationary_kernel parsed in
+  let a =
+    Exact_noninflationary.analyse (Forever.make ~kernel ~event:(Option.get parsed.Parser.event)) init
+  in
+  Alcotest.check q_t "1/36" (Q.of_ints 1 36) (Option.get r.Engine.exact);
+  Alcotest.check q_t "unsliced answer" a.Exact_noninflationary.result (Option.get r.Engine.exact);
+  Alcotest.(check (option string)) "cone relations" (Some "7 of 7")
+    (List.assoc_opt "cone relations" r.Engine.diagnostics);
+  Alcotest.(check (option string)) "chain states"
+    (Some (string_of_int a.Exact_noninflationary.num_states))
+    (List.assoc_opt "chain states" r.Engine.diagnostics);
+  Alcotest.(check bool) "at least the 36-state product" true
+    (a.Exact_noninflationary.num_states >= 36)
 
 let test_engine_exact_product_4x4x4 () =
   let r =
@@ -1166,6 +1192,8 @@ let () =
           Alcotest.test_case "lumped diagnostics (engine)" `Quick test_engine_lumped_diagnostics;
           Alcotest.test_case "lumped 3x3x4 product (engine)" `Quick test_engine_lumped_product;
           Alcotest.test_case "exact 4x4x4 product (engine)" `Quick test_engine_exact_product_4x4x4;
+          Alcotest.test_case "every-walker 3x3x4 product (engine)" `Quick
+            test_engine_every_walker_product;
           Alcotest.test_case "plan vs interpreted" `Slow test_engine_plan_vs_interpreted;
           Alcotest.test_case "examples: engine = uncompiled reference" `Slow
             test_examples_engine_vs_reference;
