@@ -1214,18 +1214,16 @@ let e23 () =
   Format.printf "answers identical in both modes; ungoverned runs latch None checkers at@.";
   Format.printf "closure build, so the off column is the pre-guard hot loop unchanged.@."
 
-(* --- E24: goal-directed fixpoint evaluation -------------------------------- *)
+(* --- E24: semi-naive fixpoint stepping ------------------------------------- *)
 
 let e24 () =
-  header "E24" "goal-directed evaluation: naive vs semi-naive deltas vs magic sets";
+  header "E24" "fixpoint stepping: naive vs semi-naive deltas";
   (* Deterministic chain reachability: s(a0), e(a_i, a_{i+1}), R = nodes
      reachable from s, event R(a_{n/4}) near the start.  The inflationary
      fixpoint runs n steps whatever the event; the naive stepper re-derives
      all i reachable nodes at step i (Θ(n²) tuple work overall) while the
      semi-naive stepper pushes only the single new node through the join
-     (Θ(n) — the speedup ratio should grow with n).  Magic sets instead
-     restrict derivation to the demanded prefix, visiting ~n/4 states
-     instead of n. *)
+     (Θ(n) — the speedup ratio should grow with n). *)
   let module D = Lang.Datalog in
   let node i = "a" ^ string_of_int i in
   let chain_db n =
@@ -1264,8 +1262,7 @@ let e24 () =
     in
     Eval.Exact_inflationary.eval_with_stats (Lang.Inflationary.of_forever_unchecked fq) init
   in
-  Format.printf "%6s %8s %12s %12s %10s %12s %8s@." "n" "states" "naive ms" "semi ms"
-    "speedup" "magic ms" "m.states";
+  Format.printf "%6s %8s %12s %12s %10s@." "n" "states" "naive ms" "semi ms" "speedup";
   List.iter
     (fun n ->
       let db = chain_db n in
@@ -1273,25 +1270,16 @@ let e24 () =
       let reps = if n >= 64 then 3 else 5 in
       let (pn, ns), nms = best_of reps (eval program db event) in
       let (ps, ss), sms = best_of reps (eval ~seminaive:true program db event) in
-      let m = Lang.Magic.rewrite ~event program in
-      let (pm, ms_), mms =
-        best_of reps (eval ~seminaive:true (Lang.Magic.program m) db (Lang.Magic.event m))
-      in
-      (* All three strategies must agree exactly; semi-naive visits the same
-         states as naive, magic strictly fewer. *)
+      (* Both strategies must agree exactly and visit the same states. *)
       assert (Q.equal pn ps);
-      assert (Q.equal pn pm);
       assert (ns.Eval.Exact_inflationary.states_visited = ss.Eval.Exact_inflationary.states_visited);
-      assert (ms_.Eval.Exact_inflationary.states_visited < ns.Eval.Exact_inflationary.states_visited);
       Bench_json.record ~id:"E24/naive" ~n ~ms:nms;
       Bench_json.record ~id:"E24/seminaive" ~n ~ms:sms;
-      Bench_json.record ~id:"E24/magic" ~n ~ms:mms;
-      Format.printf "%6d %8d %12.2f %12.2f %9.2fx %12.2f %8d@." n
-        ns.Eval.Exact_inflationary.states_visited nms sms (nms /. sms) mms
-        ms_.Eval.Exact_inflationary.states_visited)
+      Format.printf "%6d %8d %12.2f %12.2f %9.2fx@." n ns.Eval.Exact_inflationary.states_visited
+        nms sms (nms /. sms))
     [ 8; 16; 32; 64; 128 ];
   Format.printf "speedup = naive/semi-naive; it should grow with n (Θ(n²) vs Θ(n) tuple@.";
-  Format.printf "work).  magic answers are Q-identical with ~n/4 visited states.@."
+  Format.printf "work).@."
 
 (* --- E25: columnar data plane ------------------------------------------- *)
 

@@ -58,19 +58,6 @@ let delta_arg = Arg.(value & opt float 0.05 & info [ "delta" ] ~doc:"Failure pro
 let burn_in_arg =
   Arg.(value & opt int 200 & info [ "burn-in" ] ~doc:"Walk length per sample (non-inflationary sampling).")
 let seed_arg = Arg.(value & opt int 0 & info [ "seed" ] ~doc:"Random seed.")
-let magic_arg =
-  Arg.(
-    value
-    & vflag false
-        [ ( true,
-            info [ "magic" ]
-              ~doc:
-                "Apply the magic-sets demand rewrite: specialise the program to the query \
-                 event's ground tuple before evaluation (inflationary semantics only; the \
-                 answer is unchanged, irrelevant derivations are pruned)." );
-          (false, info [ "no-magic" ] ~doc:"Disable the magic-sets rewrite (the default).")
-        ])
-
 let max_states_arg =
   Arg.(value & opt int 100_000 & info [ "max-states" ] ~doc:"State-space cap for exact non-inflationary evaluation.")
 
@@ -195,7 +182,7 @@ let progress_arg =
            states, running estimate ± its confidence half-width.")
 
 let run_cmd =
-  let run path semantics method_ eps delta burn_in steps seed max_states max_steps magic domains
+  let run path semantics method_ eps delta burn_in steps seed max_states max_steps domains
       deadline_ms state_budget sample_budget on_budget checkpoint resume stats stats_json
       trace_file series_file progress =
     let stats = stats || stats_json in
@@ -287,7 +274,7 @@ let run_cmd =
         code
       in
       let run_one parsed =
-        Eval.Engine.run ~seed ~max_states ?max_steps ~magic ?domains
+        Eval.Engine.run ~seed ~max_states ?max_steps ?domains
           ~guard ~on_budget ?ckpt ~stats ~trace:trace_on ~series:series_on ~semantics ~method_
           parsed
       in
@@ -323,13 +310,17 @@ let run_cmd =
         | events -> (
           (* Several ?- events: answer them all.  Under non-inflationary
              exact evaluation the chain of the events' joint cone is built
-             and decomposed once. *)
+             and decomposed once; --stats describes that one chain. *)
           match (semantics, method_) with
           | Eval.Engine.Noninflationary, Eval.Engine.Exact ->
-            let kernel, init =
-              Eval.Engine.noninflationary_kernel (slice_to events parsed).Lang.Slice.parsed
-            in
-            let results =
+            if stats then begin
+              Obs.reset ();
+              Obs.set_enabled true
+            end;
+            let t0 = Obs.now_ns () in
+            let sliced = Obs.phase "slice" (fun () -> slice_to events parsed) in
+            let kernel, init = Eval.Engine.noninflationary_kernel sliced.Lang.Slice.parsed in
+            let a =
               Eval.Exact_noninflationary.eval_events ~max_states ~guard ~kernel ~events init
             in
             Format.printf "%-30s %-20s %s@." "event" "exact" "~float";
@@ -338,7 +329,14 @@ let run_cmd =
                 Format.printf "%-30s %-20s %.6f@."
                   (Format.asprintf "%a" Lang.Event.pp e)
                   (Bigq.Q.to_string p) (Bigq.Q.to_float p))
-              results;
+              a.Eval.Exact_noninflationary.masses;
+            if stats then
+              Format.printf "@[<v>--- stats ---@,cone relations: %s@,chain states: %d@,\
+                             lumped classes: %d@,%a@]@."
+                (Lang.Slice.describe sliced) a.Eval.Exact_noninflationary.chain_states
+                a.Eval.Exact_noninflationary.lumped_classes Eval.Engine.pp_stats
+                (Eval.Engine.collect_stats ~engine:"exact-noninflationary"
+                   ~elapsed_ms:(Obs.ms_of_ns (Obs.now_ns () - t0)));
             0
           | _ ->
             Format.printf "%-30s %-14s %s@." "event" "answer" "exact";
@@ -374,7 +372,7 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
       const run $ program_arg $ semantics_arg $ method_arg $ eps_arg $ delta_arg $ burn_in_arg
-      $ steps_arg $ seed_arg $ max_states_arg $ max_steps_arg $ magic_arg $ domains_arg $ deadline_arg $ state_budget_arg $ sample_budget_arg $ on_budget_arg
+      $ steps_arg $ seed_arg $ max_states_arg $ max_steps_arg $ domains_arg $ deadline_arg $ state_budget_arg $ sample_budget_arg $ on_budget_arg
       $ checkpoint_arg $ resume_arg $ stats_arg $ stats_json_arg $ trace_arg $ series_json_arg
       $ progress_arg)
 

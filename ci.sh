@@ -1,10 +1,11 @@
 #!/bin/sh
 # Continuous-integration entry point: full build + test suite (which
 # checks every example program's engine answer against the uncompiled
-# reference kernel), the perfbench self-test, then a CLI smoke pass over
-# every example program with and without the --magic rewrite asserting
-# identical answers, plus a probmc estimate smoke on the example chain
-# files.
+# reference kernel, and whose cram files pin every example program's
+# answer), the perfbench self-test, then smoke passes over the CLIs and
+# the daemon (probmc estimates, stats-json and trace documents, fault
+# injection, budgets, checkpoints, metrics, journal crash recovery) and
+# the bench compare gate.
 set -eu
 
 cd "$(dirname "$0")"
@@ -22,36 +23,6 @@ python3 perfbench/run.py --self-test
 
 PROBDL=_build/default/bin/probdl.exe
 PROBMC=_build/default/bin/probmc.exe
-
-# Per-program semantics: walk kernels and re-flipped pc-tables only make
-# sense non-inflationary; everything else runs inflationary.
-semantics_of () {
-  case "$(basename "$1")" in
-    coin_flip.pdl | walk_distribution.pdl) echo noninflationary ;;
-    *) echo inflationary ;;
-  esac
-}
-
-echo "== probdl smoke: magic-sets rewrite =="
-# The --magic demand rewrite must not change any answer of any example
-# program.  Only the diagnostics rows (plan strategy, magic stats,
-# visited-state counts) may differ: the structural rows describe the input
-# as written.
-strategy_answer () {
-  "$PROBDL" run "$2" -s "$3" --seed 7 $1 \
-    | grep -vE '^(plan|magic|states visited|fixpoints)'
-}
-for prog in examples/programs/*.pdl; do
-  sem=$(semantics_of "$prog")
-  default=$(strategy_answer "" "$prog" "$sem")
-  magic=$(strategy_answer "--magic" "$prog" "$sem")
-  if [ "$default" != "$magic" ]; then
-    echo "MAGIC MISMATCH on $prog" >&2
-    printf 'default:\n%s\n--magic:\n%s\n' "$default" "$magic" >&2
-    exit 1
-  fi
-  echo "ok: $prog ($sem) default/--magic agree"
-done
 
 echo "== probmc smoke =="
 "$PROBMC" estimate --target b0 --start a0 --samples 200 --burn-in 50 \

@@ -150,7 +150,7 @@ let noninflationary_kernel (parsed : Lang.Parser.parsed) =
     Lang.Compile.noninflationary_kernel program
       (Lang.Parser.database_of_facts parsed.Lang.Parser.facts)
 
-let prepare ?(magic = false) ~semantics ~method_ (parsed : Lang.Parser.parsed) =
+let prepare ~semantics ~method_ (parsed : Lang.Parser.parsed) =
   (match method_ with
    | Sampling { eps; delta; burn_in } -> check_sampling ~eps ~delta ~burn_in
    | Time_average { steps; burn_in } ->
@@ -171,22 +171,6 @@ let prepare ?(magic = false) ~semantics ~method_ (parsed : Lang.Parser.parsed) =
   in
   let parsed = sliced.Lang.Slice.parsed in
   let program = parsed.Lang.Parser.program in
-  (* Magic-sets demand rewrite: specialise program and event to the ground
-     tuple the event asks about.  Only the inflationary semantics supports
-     it — non-inflationary IDB relations are destructively recomputed, so
-     restricting derivations there is not conservative. *)
-  let magic_diags, program, event =
-    if not magic then ([], program, event)
-    else
-      match semantics with
-      | Noninflationary ->
-        ([ ("magic", "ignored (non-inflationary semantics)") ], program, event)
-      | Inflationary ->
-        let m = Obs.phase "rewrite" (fun () -> Lang.Magic.rewrite ~event program) in
-        ( [ ("magic", Format.asprintf "%a" Lang.Magic.pp_stats (Lang.Magic.stats m)) ],
-          Lang.Magic.program m,
-          Lang.Magic.event m )
-  in
   let ctable = Lang.Parser.ctable_of parsed in
   let db = Lang.Parser.database_of_facts parsed.Lang.Parser.facts in
   (* Compile the kernel to physical plans against the initial database's
@@ -225,7 +209,6 @@ let prepare ?(magic = false) ~semantics ~method_ (parsed : Lang.Parser.parsed) =
       ( "repair-key on base only",
         string_of_bool (Lang.Linearity.repair_key_on_base_only input.Lang.Parser.program) )
     ]
-    @ magic_diags
   in
   let mk ?exact ?(outcome = Complete) ?downgrade ~probability diags =
     {
@@ -509,7 +492,7 @@ let execute ?(seed = 0) ?max_states ?max_steps ?(domains = 1) ?(guard = Guard.un
     }
   end
 
-let run ?(seed = 0) ?max_states ?max_steps ?(magic = false) ?(domains = 1)
+let run ?(seed = 0) ?max_states ?max_steps ?(domains = 1)
     ?(guard = Guard.unlimited) ?(on_budget = Degrade) ?ckpt ?(stats = false)
     ?(trace = false) ?(series = false) ~semantics ~method_ (parsed : Lang.Parser.parsed) =
   let series = series || trace in
@@ -539,7 +522,7 @@ let run ?(seed = 0) ?max_states ?max_steps ?(magic = false) ?(domains = 1)
       if series && not series_was then Obs.Series.set_enabled false)
   @@ fun () ->
   let t0 = Obs.now_ns () in
-  let p = prepare ~magic ~semantics ~method_ parsed in
+  let p = prepare ~semantics ~method_ parsed in
   let env = make_env ~seed ~max_states ~max_steps ~domains ~guard ~on_budget ~ckpt in
   let base = exec_prepared p env in
   if not stats then base

@@ -116,7 +116,7 @@ type report = {
 
 exception Engine_error of string
 
-(** A compiled request: parse/rewrite/compile work done once, runtime
+(** A compiled request: parse/slice/compile work done once, runtime
     inputs (seed, budgets, domains, policy) supplied per {!execute}.  A
     prepared program holds only immutable compiled artifacts (physical
     plans are safe to execute concurrently from several domains), so one
@@ -128,7 +128,6 @@ exception Engine_error of string
 type prepared
 
 val prepare :
-  ?magic:bool ->
   semantics:semantics ->
   method_:method_ ->
   Lang.Parser.parsed ->
@@ -141,7 +140,7 @@ val prepare :
     {!Engine_error} when the input lacks a [?-] event, the method does not
     apply to the semantics, or the method's parameters are out of range
     ([eps] and [delta] must lie in (0, 1), [burn_in] must be [>= 0],
-    [steps] must be [> 0]).  Phases ("slice"/"rewrite"/"compile") are recorded
+    [steps] must be [> 0]).  Phases ("slice"/"compile") are recorded
     into the current {!Obs} scope when stats are enabled there. *)
 
 val noninflationary_kernel :
@@ -171,7 +170,6 @@ val run :
   ?seed:int ->
   ?max_states:int ->
   ?max_steps:int ->
-  ?magic:bool ->
   ?domains:int ->
   ?guard:Guard.t ->
   ?on_budget:budget_policy ->
@@ -196,11 +194,6 @@ val run :
     over, at most {!Pool.available}.  For a fixed [seed] the estimate is
     the same at every domain count, because the shards and their RNG
     streams depend only on the seed and the sample count.
-
-    [magic] (default false) applies the {!Lang.Magic} demand rewrite to the
-    program and event before compilation (inflationary semantics only;
-    ignored with a diagnostic otherwise): the answer is unchanged while
-    irrelevant derivations — and with them visited states — are pruned.
 
     [max_steps] bounds the inflationary
     sampler's walk to the fixpoint (default 100000 inside
@@ -237,6 +230,11 @@ val run :
 val pp_report : Format.formatter -> report -> unit
 
 val pp_stats : Format.formatter -> stats -> unit
+
+val collect_stats : engine:string -> elapsed_ms:float -> stats
+(** What [run ~stats:true] puts in [report.stats], read from the current
+    {!Obs} scope: for a caller that drives an evaluator itself (the
+    multi-event exact non-inflationary path of [probdl run]). *)
 
 val json_of_stats : stats -> Obs.Json.t
 

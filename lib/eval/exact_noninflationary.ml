@@ -50,13 +50,25 @@ let expected_hitting_time ?max_states query init =
     h.(start_of chain init)
   end
 
+type events_analysis = {
+  chain_states : int;
+  lumped_classes : int;
+  masses : (Lang.Event.t * Q.t) list;
+}
+
 let eval_events ?max_states ?guard ~kernel ~events init =
   let step =
-    Prob.Pplan.apply
-      (Prob.Pplan.compile_interp ~schema_of:(Lang.Compile.schema_of_database init) kernel)
+    Obs.phase "compile" (fun () ->
+        Prob.Pplan.apply
+          (Prob.Pplan.compile_interp ~schema_of:(Lang.Compile.schema_of_database init) kernel))
   in
-  let chain = build_chain_step ?max_states ?guard step init in
-  List.combine events (snd (long_run_masses chain init events))
+  let chain = Obs.phase "explore" (fun () -> build_chain_step ?max_states ?guard step init) in
+  let lumping, masses = long_run_masses chain init events in
+  {
+    chain_states = Chain.num_states chain;
+    lumped_classes = lumping.Markov.Lumping.num_classes;
+    masses = List.combine events masses;
+  }
 
 let eval_kernel ?max_states ~kernel ~event init =
   let chain = build_chain_step ?max_states (Lang.Kernel.apply kernel) init in

@@ -46,18 +46,26 @@ val expected_hitting_time :
     input state, exactly ({!Markov.Hitting}).  [Some 0] if it already
     holds; [None] when the event is reached with probability < 1. *)
 
+type events_analysis = {
+  chain_states : int;  (** chain states before lumping *)
+  lumped_classes : int;  (** lumped classes the answers were solved on *)
+  masses : (Lang.Event.t * Bigq.Q.t) list;  (** one answer per event, in order *)
+}
+
 val eval_events :
   ?max_states:int ->
   ?guard:Guard.t ->
   kernel:Prob.Interp.t ->
   events:Lang.Event.t list ->
   Relational.Database.t ->
-  (Lang.Event.t * Bigq.Q.t) list
+  events_analysis
 (** Evaluate several query events over the SAME kernel and input — the
     chain is built, lumped by the events' joint indicator vectors and
-    decomposed once; only the final mass summation is per-event.  E.g. the full stationary distribution of a walk in one
-    pass.  Steps via compiled physical plans ({!Prob.Pplan}) built against
-    the initial database's schemas. *)
+    decomposed once; only the final mass summation is per-event.  E.g. the
+    full stationary distribution of a walk in one pass.  Steps via compiled
+    physical plans ({!Prob.Pplan}) built against the initial database's
+    schemas.  Records [Obs] phases "compile", "explore", "lump" and
+    "solve". *)
 
 val eval_kernel :
   ?max_states:int -> kernel:Lang.Kernel.t -> event:Lang.Event.t -> Relational.Database.t -> Bigq.Q.t

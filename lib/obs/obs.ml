@@ -432,11 +432,6 @@ let add c n =
   let i = 2 * c.c_id in
   cells.(i) <- cells.(i) + n
 
-let add_ns c n =
-  let cells = cells_for c in
-  let i = (2 * c.c_id) + 1 in
-  cells.(i) <- cells.(i) + n
-
 let record_max c n =
   if not c.c_max then c.c_max <- true;
   let cells = cells_for c in
@@ -447,13 +442,23 @@ let lane_get l i =
   let cells = l.l_cells in
   if i < Array.length cells then cells.(i) else 0
 
-(* Call under [c.c_scope.registry_mu]. *)
+let sample_mask = 63 (* wrap1/wrap2 clock the calls whose tick lands on mask = 0 *)
+
+(* Call under [c.c_scope.registry_mu].  The ns slot holds the clocked
+   calls' unscaled time; a lane that ticked [v] times clocked
+   ceil(v / 64) of them, so each clocked call stands for
+   v / ceil(v / 64) calls. *)
 let merge_lanes c =
-  List.fold_left
-    (fun (cnt, tns) l ->
-      let v = lane_get l (2 * c.c_id) and t = lane_get l ((2 * c.c_id) + 1) in
-      ((if c.c_max then max cnt v else cnt + v), tns + t))
-    (0, 0) c.c_scope.lanes
+  let cnt, tns =
+    List.fold_left
+      (fun (cnt, tns) l ->
+        let v = lane_get l (2 * c.c_id) and t = lane_get l ((2 * c.c_id) + 1) in
+        let timed = (v + sample_mask) / (sample_mask + 1) in
+        ( (if c.c_max then max cnt v else cnt + v),
+          if v = 0 then tns else tns +. (float_of_int t *. float_of_int v /. float_of_int timed) ))
+      (0, 0.0) c.c_scope.lanes
+  in
+  (cnt, int_of_float tns)
 
 let count c = fst (with_lock c.c_scope.registry_mu (fun () -> merge_lanes c))
 let ns c = snd (with_lock c.c_scope.registry_mu (fun () -> merge_lanes c))
@@ -482,15 +487,15 @@ let snapshot () =
 (* --- closure wrappers (the only sanctioned way to instrument hot paths) ---
 
    Ticks cost one plain increment per call.  Wall-clock is sampled: the
-   lane-local tick's previous value selects 1-in-64 calls for timing and
-   the measured duration is scaled by 64, so the two clock reads — the
-   expensive part, individual operator executions often cost less than the
-   clock grain — amortise to ~1/64 of a call each.  Operator [ms] is
-   therefore an estimate; [ticks] are exact always (each domain ticks its
-   own lane) and phase times exact too.  The timing write re-resolves the
-   cell array: [f] may itself register counters and grow this lane. *)
-
-let sample_mask = 63 (* time calls where ticks land mask = 0, scale by mask+1 *)
+   lane-local tick's previous value selects 1-in-64 calls for timing, so
+   the two clock reads — the expensive part, individual operator
+   executions often cost less than the clock grain — amortise to ~1/64 of
+   a call each.  The measured duration is stored unscaled and
+   [merge_lanes] scales it by the calls each clocked call stands for, so
+   an operator run 4 times reports 4 calls' worth, not 64.  Operator [ms]
+   is therefore an estimate; [ticks] are exact always (each domain ticks
+   its own lane) and phase times exact too.  The timing write re-resolves
+   the cell array: [f] may itself register counters and grow this lane. *)
 
 let wrap1 name f =
   if not (enabled ()) then f
@@ -504,7 +509,7 @@ let wrap1 name f =
       if k land sample_mask = 0 then begin
         let t0 = now_ns () in
         let r = f x in
-        let dur = max 0 (now_ns () - t0) * (sample_mask + 1) in
+        let dur = max 0 (now_ns () - t0) in
         let cells = cells_for c in
         cells.(i + 1) <- cells.(i + 1) + dur;
         r
@@ -524,7 +529,7 @@ let wrap2 name f =
       if k land sample_mask = 0 then begin
         let t0 = now_ns () in
         let r = f x y in
-        let dur = max 0 (now_ns () - t0) * (sample_mask + 1) in
+        let dur = max 0 (now_ns () - t0) in
         let cells = cells_for c in
         cells.(i + 1) <- cells.(i + 1) + dur;
         r

@@ -57,7 +57,6 @@ val counter : string -> counter
 
 val incr : counter -> unit
 val add : counter -> int -> unit
-val add_ns : counter -> int -> unit
 
 val record_max : counter -> int -> unit
 (** Raises the counter's count to [n] if it is currently smaller (per-lane
@@ -95,10 +94,12 @@ val snapshot : unit -> (string * int * float) list
 val wrap1 : string -> ('a -> 'b) -> 'a -> 'b
 (** [wrap1 name f]: when stats are enabled at wrap time, a closure that
     counts one tick per application under [name] and estimates wall time by
-    sampling — 1-in-64 applications (per lane) are clocked and scaled by
-    64, so the reported [ms] is a statistical estimate while [ticks] stays
-    exact; when disabled, [f] itself (no branch, no indirection beyond the
-    original closure). *)
+    sampling — 1-in-64 applications (per lane) are clocked, and each clocked
+    duration is scaled at read time by the number of applications it stands
+    for ([ticks / ceil(ticks / 64)] per lane, so fewer than 64 applications
+    scale by their own count) — so the reported [ms] is a statistical
+    estimate while [ticks] stays exact; when disabled, [f] itself (no
+    branch, no indirection beyond the original closure). *)
 
 val wrap2 : string -> ('a -> 'b -> 'c) -> 'a -> 'b -> 'c
 

@@ -7,10 +7,9 @@ type spec = {
   source : string;
   semantics : Eval.Engine.semantics;
   method_ : Eval.Engine.method_;
-  magic : bool;
 }
 
-let make ?(magic = false) ~semantics ~method_ source = { source; semantics; method_; magic }
+let make ~semantics ~method_ source = { source; semantics; method_ }
 
 let semantics_slug = function
   | Eval.Engine.Inflationary -> "inflationary"
@@ -30,10 +29,9 @@ let fingerprint spec =
   Digest.to_hex
     (Digest.string
        (String.concat "|"
-          [ "probdb.plan/2";
+          [ "probdb.plan/3";
             semantics_slug spec.semantics;
             method_slug spec.method_;
-            string_of_bool spec.magic;
             spec.source
           ]))
 
@@ -46,8 +44,7 @@ let cache_stats = Prob.Pplan.Cache.stats
 let prepare ?cache spec =
   let build () =
     let parsed = Lang.Parser.parse spec.source in
-    Eval.Engine.prepare ~magic:spec.magic ~semantics:spec.semantics ~method_:spec.method_
-      parsed
+    Eval.Engine.prepare ~semantics:spec.semantics ~method_:spec.method_ parsed
   in
   match cache with
   | None -> (build (), false)

@@ -15,16 +15,10 @@ type spec = {
   source : string;  (** program text (concrete syntax) *)
   semantics : Eval.Engine.semantics;
   method_ : Eval.Engine.method_;
-  magic : bool;
 }
 
 val make :
-  ?magic:bool ->
-  semantics:Eval.Engine.semantics ->
-  method_:Eval.Engine.method_ ->
-  string ->
-  spec
-(** Defaults mirror {!Eval.Engine.run}: no magic rewrite. *)
+  semantics:Eval.Engine.semantics -> method_:Eval.Engine.method_ -> string -> spec
 
 val semantics_slug : Eval.Engine.semantics -> string
 val method_slug : Eval.Engine.method_ -> string

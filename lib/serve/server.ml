@@ -303,13 +303,7 @@ let run_query t ~tenant ~id ~corr ~corr_seq (q : Proto.query) =
     match Proto.method_of_query q with
     | Error m -> fail ~outcome:Telemetry.Errored ~code:Proto.code_bad_request m
     | Ok method_ -> (
-      let spec =
-        { Request.source;
-          semantics = q.q_semantics;
-          method_;
-          magic = q.q_magic
-        }
-      in
+      let spec = { Request.source; semantics = q.q_semantics; method_ } in
       let deadline_ms =
         match q.q_class with
         | Proto.Interactive -> prof.tp_deadline_ms

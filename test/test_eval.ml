@@ -415,7 +415,7 @@ let test_eval_events_shared_chain () =
   let parsed = parse walk_src in
   let kernel, init = Compile.noninflationary_kernel parsed.Parser.program walk_db in
   let events = [ Event.make "C" [ v_str "a" ]; Event.make "C" [ v_str "b" ] ] in
-  let results = Exact_noninflationary.eval_events ~kernel ~events init in
+  let results = (Exact_noninflationary.eval_events ~kernel ~events init).masses in
   Alcotest.check q_t "pi(a)" (Q.of_ints 1 3) (List.assoc (List.nth events 0) results);
   Alcotest.check q_t "pi(b)" (Q.of_ints 2 3) (List.assoc (List.nth events 1) results);
   Alcotest.check q_t "masses sum to 1" Q.one (Q.sum (List.map snd results))
@@ -435,7 +435,7 @@ let test_eval_events_absorbing () =
   let parsed = parse "?C(Y) @W :- C(X), e(X, Y, W).\n?- C(l)." in
   let kernel, init = Compile.noninflationary_kernel parsed.Parser.program db in
   let events = [ Event.make "C" [ v_str "l" ]; Event.make "C" [ v_str "r" ]; Event.make "C" [ v_str "s" ] ] in
-  let results = Exact_noninflationary.eval_events ~kernel ~events init in
+  let results = (Exact_noninflationary.eval_events ~kernel ~events init).masses in
   Alcotest.check q_t "left 1/4" (Q.of_ints 1 4) (List.nth results 0 |> snd);
   Alcotest.check q_t "right 3/4" (Q.of_ints 3 4) (List.nth results 1 |> snd);
   Alcotest.check q_t "transient 0" Q.zero (List.nth results 2 |> snd)

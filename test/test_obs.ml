@@ -210,6 +210,29 @@ let test_durations_nonneg () =
   Obs.reset ();
   Obs.set_enabled was
 
+(* Fewer than 64 applications clock only the first, which stands for all of
+   them, not for 64.  Each call sleeps longer than the one before, so the
+   clocked first call is the shortest and the estimate (4 × the first) stays
+   below the phase that holds all four. *)
+let test_sampled_ms_within_phase () =
+  let was = Obs.enabled () in
+  Obs.reset ();
+  Obs.set_enabled true;
+  let f = Obs.wrap1 "test.few" (fun n -> Unix.sleepf (0.002 *. float_of_int n)) in
+  Obs.phase "test.few_phase" (fun () -> List.iter f [ 1; 2; 3; 4 ]);
+  Alcotest.(check int) "ticks exact" 4 (Obs.count_of "test.few");
+  let phase_ms =
+    match List.assoc_opt "test.few_phase" (Obs.phases ()) with
+    | Some ms -> ms
+    | None -> Alcotest.fail "phase not recorded"
+  in
+  let op_ms = Obs.ms_of "test.few" in
+  if op_ms > phase_ms then
+    Alcotest.failf "operator %.3f ms exceeds its phase %.3f ms" op_ms phase_ms;
+  if op_ms <= 0.0 then Alcotest.failf "operator ms not recorded: %.3f" op_ms;
+  Obs.reset ();
+  Obs.set_enabled was
+
 (* --- JSON escaping -------------------------------------------------------- *)
 
 let test_escape_corner_cases () =
@@ -814,7 +837,8 @@ let () =
   Alcotest.run "obs"
     [ ( "clock",
         [ Alcotest.test_case "now_ns monotone" `Quick test_now_ns_monotone;
-          Alcotest.test_case "durations non-negative" `Quick test_durations_nonneg
+          Alcotest.test_case "durations non-negative" `Quick test_durations_nonneg;
+          Alcotest.test_case "sampled ms within its phase" `Quick test_sampled_ms_within_phase
         ] );
       ( "json",
         [ Alcotest.test_case "escape corner cases" `Quick test_escape_corner_cases;

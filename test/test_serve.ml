@@ -113,7 +113,9 @@ let test_plan_cache () =
   Alcotest.(check int) "misses" 1 misses;
   Alcotest.(check int) "entries" 1 entries;
   (* Differing compile options change the fingerprint. *)
-  let _, hit3 = Serve.Request.prepare ~cache { spec with Serve.Request.magic = true } in
+  let _, hit3 =
+    Serve.Request.prepare ~cache { spec with Serve.Request.semantics = Eval.Engine.Noninflationary }
+  in
   Alcotest.(check bool) "option change misses" false hit3;
   (* A cached prepared value executes and answers correctly. *)
   let report = Eval.Engine.execute prep2 in
@@ -305,6 +307,31 @@ let test_lumped_method_refused () =
       Alcotest.check json "unknown method"
         (J.Str {|unknown method "lumped" (exact|sample|partitioned|time-average)|})
         (get resp "error"))
+
+(* The retired "magic" key is ignored like any unknown key: a query carrying
+   it is accepted, shares the plan-cache entry of the same query without it,
+   and answers identically. *)
+let test_magic_key_ignored () =
+  with_server (fun path _t ->
+      let c = Serve.Client.connect_unix ~retry_ms:2000 path in
+      Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
+      let source =
+        "edge(a,b). edge(b,c). path(X,Y) :- edge(X,Y). path(X,Z) :- path(X,Y), edge(Y,Z). ?- path(a,c)."
+      in
+      let reference =
+        reference_report ~semantics:Eval.Engine.Inflationary ~method_:Eval.Engine.Exact source
+      in
+      let query id extra =
+        Serve.Client.rpc_json c
+          (Serve.Jsonr.parse
+             (Printf.sprintf {|{"op":"query","id":%S,"tenant":"t1"%s,"source":%S}|} id extra
+                source))
+      in
+      let plain = query "plain" "" in
+      check_answer ~what:"without magic" reference plain;
+      let magic = query "magic" {|,"magic":true|} in
+      check_answer ~what:"with magic" reference magic;
+      Alcotest.check json "same plan-cache entry" (J.Str "hit") (get (check_ok magic) "cache"))
 
 (* --- per-tenant budgets, cancellation, admission --------------------------- *)
 
@@ -1528,6 +1555,7 @@ let () =
           Alcotest.test_case "invalid sampling parameters refused" `Quick
             test_invalid_sampling_params;
           Alcotest.test_case "lumped method refused" `Quick test_lumped_method_refused;
+          Alcotest.test_case "retired magic key ignored" `Quick test_magic_key_ignored;
           Alcotest.test_case "cancel an in-flight request" `Quick test_cancel_inflight;
           Alcotest.test_case "per-tenant admission control" `Quick test_admission_control;
           Alcotest.test_case "per-tenant budget degrades per class" `Quick
