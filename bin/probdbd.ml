@@ -63,8 +63,9 @@ let serve_cmd =
   in
   let state_budget_arg =
     Arg.(
-      value & opt (some int) None
-      & info [ "state-budget" ] ~docv:"N" ~doc:"Default per-tenant explored-state budget.")
+      value & opt int Guard.default_state_budget
+      & info [ "state-budget" ] ~docv:"N"
+          ~doc:"Default per-tenant budget of states an exact method may explore.")
   in
   let sample_budget_arg =
     Arg.(
@@ -155,7 +156,7 @@ let serve_cmd =
       { Serve.Server.default_profile with
         tp_deadline_ms = deadline_ms;
         tp_batch_deadline_ms = batch_deadline_ms;
-        tp_state_budget = state_budget;
+        tp_state_budget = Some state_budget;
         tp_sample_budget = sample_budget;
         tp_max_inflight = max_inflight;
         tp_fallback = not no_fallback

@@ -58,9 +58,6 @@ let delta_arg = Arg.(value & opt float 0.05 & info [ "delta" ] ~doc:"Failure pro
 let burn_in_arg =
   Arg.(value & opt int 200 & info [ "burn-in" ] ~doc:"Walk length per sample (non-inflationary sampling).")
 let seed_arg = Arg.(value & opt int 0 & info [ "seed" ] ~doc:"Random seed.")
-let max_states_arg =
-  Arg.(value & opt int 100_000 & info [ "max-states" ] ~doc:"State-space cap for exact non-inflationary evaluation.")
-
 let domains_arg =
   Arg.(
     value
@@ -97,8 +94,9 @@ let state_budget_arg =
     & opt (some int) None
     & info [ "state-budget" ] ~docv:"N"
         ~doc:
-          "Graceful state budget for exact evaluation: stop after interning $(docv) chain \
-           states and degrade per --on-budget, instead of the hard --max-states failure.")
+          "Budget of states an exact method may explore (chain states, inflationary \
+           traversal states, lineage nodes, pc-table worlds); past it the run stops and \
+           degrades per --on-budget.  Default 100000.")
 
 let sample_budget_arg =
   Arg.(
@@ -182,7 +180,7 @@ let progress_arg =
            states, running estimate ± its confidence half-width.")
 
 let run_cmd =
-  let run path semantics method_ eps delta burn_in steps seed max_states max_steps domains
+  let run path semantics method_ eps delta burn_in steps seed max_steps domains
       deadline_ms state_budget sample_budget on_budget checkpoint resume stats stats_json
       trace_file series_file progress =
     let stats = stats || stats_json in
@@ -207,13 +205,18 @@ let run_cmd =
         deadline_ms <> None || state_budget <> None || sample_budget <> None
         || checkpoint <> None || resume <> None
       in
-      (* A budgetless guard still watches the interrupt flag, so SIGINT on a
-         checkpointing run stops it gracefully (final checkpoint + partial
-         report) instead of killing the process mid-save. *)
+      (* Every run is bounded by the state budget (the default one when none
+         is given).  Governed runs also take SIGINT gracefully: the guard
+         watches the interrupt flag, so a checkpointing run stops with a
+         final checkpoint and a partial report instead of dying mid-save. *)
       let guard =
-        if governed then
-          Guard.make ?deadline_ms ?max_states:state_budget ?max_samples:sample_budget ()
-        else Guard.unlimited
+        try
+          Guard.make ?deadline_ms
+            ~max_states:(Option.value state_budget ~default:Guard.default_state_budget)
+            ?max_samples:sample_budget ()
+        with Invalid_argument msg ->
+          Format.eprintf "error: %s@." msg;
+          exit 1
       in
       let on_budget =
         match on_budget with
@@ -274,7 +277,7 @@ let run_cmd =
         code
       in
       let run_one parsed =
-        Eval.Engine.run ~seed ~max_states ?max_steps ?domains
+        Eval.Engine.run ~seed ?max_steps ?domains
           ~guard ~on_budget ?ckpt ~stats ~trace:trace_on ~series:series_on ~semantics ~method_
           parsed
       in
@@ -311,34 +314,7 @@ let run_cmd =
           (* Several ?- events: answer them all.  Under non-inflationary
              exact evaluation the chain of the events' joint cone is built
              and decomposed once; --stats describes that one chain. *)
-          match (semantics, method_) with
-          | Eval.Engine.Noninflationary, Eval.Engine.Exact ->
-            if stats then begin
-              Obs.reset ();
-              Obs.set_enabled true
-            end;
-            let t0 = Obs.now_ns () in
-            let sliced = Obs.phase "slice" (fun () -> slice_to events parsed) in
-            let kernel, init = Eval.Engine.noninflationary_kernel sliced.Lang.Slice.parsed in
-            let a =
-              Eval.Exact_noninflationary.eval_events ~max_states ~guard ~kernel ~events init
-            in
-            Format.printf "%-30s %-20s %s@." "event" "exact" "~float";
-            List.iter
-              (fun (e, p) ->
-                Format.printf "%-30s %-20s %.6f@."
-                  (Format.asprintf "%a" Lang.Event.pp e)
-                  (Bigq.Q.to_string p) (Bigq.Q.to_float p))
-              a.Eval.Exact_noninflationary.masses;
-            if stats then
-              Format.printf "@[<v>--- stats ---@,cone relations: %s@,chain states: %d@,\
-                             lumped classes: %d@,%a@]@."
-                (Lang.Slice.describe sliced) a.Eval.Exact_noninflationary.chain_states
-                a.Eval.Exact_noninflationary.lumped_classes Eval.Engine.pp_stats
-                (Eval.Engine.collect_stats ~engine:"exact-noninflationary"
-                   ~elapsed_ms:(Obs.ms_of_ns (Obs.now_ns () - t0)));
-            0
-          | _ ->
+          let one_by_one () =
             Format.printf "%-30s %-14s %s@." "event" "answer" "exact";
             let partial = ref false in
             List.iter
@@ -354,25 +330,57 @@ let run_cmd =
                    | Some q -> Bigq.Q.to_string q
                    | None -> "-"))
               events;
-            if !partial then 3 else 0)
+            if !partial then 3 else 0
+          in
+          let fallback = match on_budget with Eval.Engine.Fallback _ -> true | _ -> false in
+          match (semantics, method_) with
+          | Eval.Engine.Noninflationary, Eval.Engine.Exact -> (
+            if stats then begin
+              Obs.reset ();
+              Obs.set_enabled true
+            end;
+            let t0 = Obs.now_ns () in
+            let sliced = Obs.phase "slice" (fun () -> slice_to events parsed) in
+            let kernel, init = Eval.Engine.noninflationary_kernel sliced.Lang.Slice.parsed in
+            match Eval.Exact_noninflationary.eval_events ~guard ~kernel ~events init with
+            | exception Guard.Exhausted (Guard.States _) when fallback ->
+              (* The shared chain blew the state budget.  The guard stays
+                 spent, so each event's own exact run stops at once and
+                 falls back to the sampler, as a single-event run does. *)
+              one_by_one ()
+            | a ->
+              Format.printf "%-30s %-20s %s@." "event" "exact" "~float";
+              List.iter
+                (fun (e, p) ->
+                  Format.printf "%-30s %-20s %.6f@."
+                    (Format.asprintf "%a" Lang.Event.pp e)
+                    (Bigq.Q.to_string p) (Bigq.Q.to_float p))
+                a.Eval.Exact_noninflationary.masses;
+              if stats then
+                Format.printf "@[<v>--- stats ---@,cone relations: %s@,chain states: %d@,\
+                               lumped classes: %d@,%a@]@."
+                  (Lang.Slice.describe sliced) a.Eval.Exact_noninflationary.chain_states
+                  a.Eval.Exact_noninflationary.lumped_classes Eval.Engine.pp_stats
+                  (Eval.Engine.collect_stats ~engine:"exact-noninflationary"
+                     ~elapsed_ms:(Obs.ms_of_ns (Obs.now_ns () - t0)));
+              0)
+          | _ -> one_by_one ())
       with
-      | Eval.Engine.Engine_error msg | Lang.Compile.Compile_error msg ->
+      | Eval.Engine.Engine_error msg | Lang.Compile.Compile_error msg
+      | Markov.Chain.Chain_error msg ->
         Format.eprintf "error: %s@." msg;
         1
       | Guard.Exhausted reason ->
         (* Only the multi-event exact fast path lets this escape (single-event
            runs turn it into a report inside the engine). *)
         Format.eprintf "partial: %s@." (Guard.describe reason);
-        if on_budget = Eval.Engine.Fail then 1 else 3
-      | Markov.Chain.Chain_error msg ->
-        Format.eprintf "error: %s (try --method sample or a larger --max-states)@." msg;
-        1)
+        if on_budget = Eval.Engine.Fail then 1 else 3)
   in
   let doc = "Evaluate the program's ?- event probability." in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
       const run $ program_arg $ semantics_arg $ method_arg $ eps_arg $ delta_arg $ burn_in_arg
-      $ steps_arg $ seed_arg $ max_states_arg $ max_steps_arg $ domains_arg $ deadline_arg $ state_budget_arg $ sample_budget_arg $ on_budget_arg
+      $ steps_arg $ seed_arg $ max_steps_arg $ domains_arg $ deadline_arg $ state_budget_arg $ sample_budget_arg $ on_budget_arg
       $ checkpoint_arg $ resume_arg $ stats_arg $ stats_json_arg $ trace_arg $ series_json_arg
       $ progress_arg)
 
@@ -506,7 +514,7 @@ let worlds_cmd =
   Cmd.v (Cmd.info "worlds" ~doc) Term.(const worlds $ program_arg)
 
 let hitting_cmd =
-  let hitting path max_states =
+  let hitting path =
     match read_parsed path with
     | Error msg ->
       Format.eprintf "error: %s@." msg;
@@ -525,19 +533,24 @@ let hitting_cmd =
             Lang.Forever.compile ~schema_of:(Lang.Compile.schema_of_database init)
               (Lang.Forever.make ~kernel ~event)
           in
-          (match Eval.Exact_noninflationary.expected_hitting_time ~max_states query init with
+          let guard = Guard.make ~max_states:Guard.default_state_budget () in
+          (match Eval.Exact_noninflationary.expected_hitting_time ~guard query init with
            | Some t ->
              Format.printf "expected steps until %a first holds: %s (~%.6f)@." Lang.Event.pp event
                (Bigq.Q.to_string t) (Bigq.Q.to_float t)
            | None ->
              Format.printf "the event is reached with probability < 1: expectation is infinite@.");
           0
-        with Markov.Chain.Chain_error msg | Lang.Compile.Compile_error msg ->
+        with
+        | Markov.Chain.Chain_error msg | Lang.Compile.Compile_error msg ->
           Format.eprintf "error: %s@." msg;
-          1))
+          1
+        | Guard.Exhausted reason ->
+          Format.eprintf "partial: %s@." (Guard.describe reason);
+          3))
   in
   let doc = "Exact expected time until the event first holds (non-inflationary semantics)." in
-  Cmd.v (Cmd.info "hitting" ~doc) Term.(const hitting $ program_arg $ max_states_arg)
+  Cmd.v (Cmd.info "hitting" ~doc) Term.(const hitting $ program_arg)
 
 (* --- interactive REPL ---------------------------------------------------- *)
 
@@ -576,14 +589,19 @@ let repl_eval st query_line =
       else Eval.Engine.Exact
     in
     try
-      let report = Eval.Engine.run ~semantics:st.semantics ~method_ parsed in
-      (match report.Eval.Engine.exact with
-       | Some q -> Format.printf "%s (~%.6f)@." (Bigq.Q.to_string q) report.Eval.Engine.probability
-       | None -> Format.printf "~%.6f (sampled)@." report.Eval.Engine.probability)
+      let guard = Guard.make ~max_states:Guard.default_state_budget () in
+      let report = Eval.Engine.run ~guard ~semantics:st.semantics ~method_ parsed in
+      match (report.Eval.Engine.outcome, report.Eval.Engine.exact) with
+      | Eval.Engine.Partial { reason; _ }, _ ->
+        Format.printf "partial: %s@." (Guard.describe reason)
+      | Eval.Engine.Complete, Some q ->
+        Format.printf "%s (~%.6f)@." (Bigq.Q.to_string q) report.Eval.Engine.probability
+      | Eval.Engine.Complete, None ->
+        Format.printf "~%.6f (sampled)@." report.Eval.Engine.probability
     with
-    | Eval.Engine.Engine_error msg | Lang.Compile.Compile_error msg ->
-      Format.printf "error: %s@." msg
-    | Markov.Chain.Chain_error msg -> Format.printf "error: %s@." msg)
+    | Eval.Engine.Engine_error msg | Lang.Compile.Compile_error msg
+    | Markov.Chain.Chain_error msg ->
+      Format.printf "error: %s@." msg)
 
 let repl_add st line =
   (* Validate the program with the new clause before accepting it. *)

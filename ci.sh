@@ -180,11 +180,22 @@ if not dg or dg["from"] != "exact" or dg["to"] != "sampling" or dg["trigger"] !=
 if doc["outcome"]["status"] != "complete":
     sys.exit(f"fallback run should complete, got {doc['outcome']!r}")
 ' || { echo "fallback smoke failed" >&2; exit 1; }
+# The partitioned method runs under the same state budget: partial, exit 3.
+status=0
+"$PROBDL" run examples/programs/reachability.pdl -s noninflationary -m partitioned \
+  --state-budget 2 > "$TRACE_TMP/partitioned.out" || status=$?
+[ "$status" -eq 3 ] || { echo "partitioned state budget: expected exit 3, got $status" >&2; exit 1; }
+grep -q '^outcome   : partial' "$TRACE_TMP/partitioned.out" \
+  || { echo "partitioned state budget: no partial outcome line" >&2; exit 1; }
+# A budget that is not positive is refused before any work starts.
+status=0
+"$PROBDL" run examples/programs/reachability.pdl --state-budget=0 > /dev/null 2>&1 || status=$?
+[ "$status" -eq 1 ] || { echo "state budget 0: expected exit 1, got $status" >&2; exit 1; }
 # Usage errors are exit 2, distinct from runtime errors (1) and partial (3).
 status=0
 "$PROBDL" run --no-such-flag > /dev/null 2>&1 || status=$?
 [ "$status" -eq 2 ] || { echo "usage: expected exit 2, got $status" >&2; exit 1; }
-echo "ok: partial=3, fail-policy=1, fallback downgrades to sampling, usage=2"
+echo "ok: partial=3, fail-policy=1, fallback downgrades to sampling, partitioned budget=3, budget 0 refused, usage=2"
 
 echo "== checkpoint / interrupt / resume smoke =="
 # SIGINT mid-run must exit 3 and leave a checkpoint from which --resume

@@ -120,7 +120,6 @@ let collect_stats ~engine ~elapsed_ms =
    request while the compiled artifacts stay fixed. *)
 type exec_env = {
   rng : Random.State.t;
-  env_max_states : int option;
   env_max_steps : int option;
   env_domains : int;
   env_guard : Guard.t;
@@ -362,10 +361,7 @@ let prepare ~semantics ~method_ (parsed : Lang.Parser.parsed) =
         let kernel, init = noninflationary_kernel parsed in
         let query = compile_query init (Lang.Forever.make ~kernel ~event) in
         fun env ->
-          match
-            Exact_noninflationary.analyse ?max_states:env.env_max_states ~guard:env.env_guard
-              query init
-          with
+          match Exact_noninflationary.analyse ~guard:env.env_guard query init with
           | a ->
             mk
               ~probability:(Q.to_float a.Exact_noninflationary.result)
@@ -426,14 +422,18 @@ let prepare ~semantics ~method_ (parsed : Lang.Parser.parsed) =
           sample_report env r ~diags:[ ("samples", string_of_int samples) ]
       | Inflationary, Exact_partitioned, _ ->
         err "partitioned evaluation applies to non-inflationary queries"
-      | Noninflationary, Exact_partitioned, None ->
+      | Noninflationary, Exact_partitioned, None -> (
         fun env ->
-          let p =
-            Partition.eval_noninflationary ?max_states:env.env_max_states program db event
-          in
-          let parts = Partition.classes program db in
-          mk ~probability:(Q.to_float p) ?exact:(Some p)
-            [ ("partition classes", string_of_int (List.length parts)) ]
+          match Partition.eval_noninflationary ~guard:env.env_guard program db event with
+          | p, classes ->
+            mk ~probability:(Q.to_float p) ?exact:(Some p)
+              [ ("partition classes", string_of_int classes) ]
+          | exception Guard.Exhausted reason ->
+            on_exhausted_exact env reason ~diags:[]
+              ~fallback:(fun ~eps ~delta ~burn_in ~downgrade ->
+                let kernel, init = Lang.Compile.noninflationary_kernel program db in
+                let query = compile_query init (Lang.Forever.make ~kernel ~event) in
+                fallback_noninflationary env ~query ~init ~eps ~delta ~burn_in ~downgrade))
   in
   { prep_semantics = semantics; prep_method = method_; prep_exec = exec }
 
@@ -462,10 +462,9 @@ let exec_prepared (p : prepared) env =
       (Printexc.to_string exn) extra
   | Guard.Checkpoint.Error m -> err "checkpoint error: %s" m
 
-let make_env ~seed ~max_states ~max_steps ~domains ~guard ~on_budget ~ckpt =
+let make_env ~seed ~max_steps ~domains ~guard ~on_budget ~ckpt =
   {
     rng = Random.State.make [| seed |];
-    env_max_states = max_states;
     env_max_steps = max_steps;
     env_domains = domains;
     env_guard = guard;
@@ -478,10 +477,10 @@ let make_env ~seed ~max_states ~max_steps ~domains ~guard ~on_budget ~ckpt =
    enables it there); with [stats] the report carries whatever that scope
    collected, timed from this call — compile time is the caller's concern,
    which is the point of caching prepared programs. *)
-let execute ?(seed = 0) ?max_states ?max_steps ?(domains = 1) ?(guard = Guard.unlimited)
+let execute ?(seed = 0) ?max_steps ?(domains = 1) ?(guard = Guard.unlimited)
     ?(on_budget = Degrade) ?ckpt ?(stats = false) (p : prepared) =
   let t0 = Obs.now_ns () in
-  let env = make_env ~seed ~max_states ~max_steps ~domains ~guard ~on_budget ~ckpt in
+  let env = make_env ~seed ~max_steps ~domains ~guard ~on_budget ~ckpt in
   let base = exec_prepared p env in
   if not stats then base
   else begin
@@ -492,7 +491,7 @@ let execute ?(seed = 0) ?max_states ?max_steps ?(domains = 1) ?(guard = Guard.un
     }
   end
 
-let run ?(seed = 0) ?max_states ?max_steps ?(domains = 1)
+let run ?(seed = 0) ?max_steps ?(domains = 1)
     ?(guard = Guard.unlimited) ?(on_budget = Degrade) ?ckpt ?(stats = false)
     ?(trace = false) ?(series = false) ~semantics ~method_ (parsed : Lang.Parser.parsed) =
   let series = series || trace in
@@ -523,7 +522,7 @@ let run ?(seed = 0) ?max_states ?max_steps ?(domains = 1)
   @@ fun () ->
   let t0 = Obs.now_ns () in
   let p = prepare ~semantics ~method_ parsed in
-  let env = make_env ~seed ~max_states ~max_steps ~domains ~guard ~on_budget ~ckpt in
+  let env = make_env ~seed ~max_steps ~domains ~guard ~on_budget ~ckpt in
   let base = exec_prepared p env in
   if not stats then base
   else begin

@@ -150,7 +150,6 @@ val noninflationary_kernel :
 
 val execute :
   ?seed:int ->
-  ?max_states:int ->
   ?max_steps:int ->
   ?domains:int ->
   ?guard:Guard.t ->
@@ -168,7 +167,6 @@ val execute :
 
 val run :
   ?seed:int ->
-  ?max_states:int ->
   ?max_steps:int ->
   ?domains:int ->
   ?guard:Guard.t ->
@@ -210,7 +208,12 @@ val run :
     [guard] (default {!Guard.unlimited}) bounds the run: deadline, state
     budget and sample budget are checked cooperatively at hot-loop
     boundaries, and {!Guard.request_interrupt} stops it from a signal
-    handler.  [on_budget] (default [Degrade]) picks the reaction — see
+    handler.  The state budget is the one bound on explored states for
+    every exact method — chain states (plain and partitioned, summed over
+    the partition's classes), Prop 4.4 traversal states, lineage nodes and
+    enumerated pc-table worlds; with the default guard nothing is
+    bounded ([probdl] and [probdbd] pass
+    {!Guard.default_state_budget} when no budget is given).  [on_budget] (default [Degrade]) picks the reaction — see
     {!budget_policy}; [report.outcome] says whether the answer is complete.
     [ckpt] adds periodic checkpointing and/or a resume snapshot to
     sampling methods ({!Pool.run_samples}): a resumed run's estimate is

@@ -11,12 +11,11 @@ type analysis = {
   result : Q.t;
 }
 
-let build_chain_step ?(max_states = 100_000) ?guard step init =
-  Chain.of_step ~hash:Database.hash ~equal:Database.equal ~max_states ?guard ~init:[ init ]
-    ~step ()
+let build_chain_step ?guard step init =
+  Chain.of_step ~hash:Database.hash ~equal:Database.equal ?guard ~init:[ init ] ~step ()
 
-let build_chain ?max_states ?guard query init =
-  build_chain_step ?max_states ?guard (fun db -> Lang.Forever.step query db) init
+let build_chain ?guard query init =
+  build_chain_step ?guard (fun db -> Lang.Forever.step query db) init
 
 let start_of chain init = match Chain.index chain init with Some i -> i | None -> 0
 
@@ -24,8 +23,8 @@ let long_run_masses chain init events =
   Markov.Lumping.long_run_masses chain ~start:(start_of chain init)
     ~events:(List.map (fun e i -> Lang.Event.holds e (Chain.label chain i)) events)
 
-let analyse ?max_states ?guard query init =
-  let chain = Obs.phase "explore" (fun () -> build_chain ?max_states ?guard query init) in
+let analyse ?guard query init =
+  let chain = Obs.phase "explore" (fun () -> build_chain ?guard query init) in
   let lumping, masses = long_run_masses chain init [ query.Lang.Forever.event ] in
   {
     chain;
@@ -36,10 +35,10 @@ let analyse ?max_states ?guard query init =
     result = List.hd masses;
   }
 
-let eval ?max_states ?guard query init = (analyse ?max_states ?guard query init).result
+let eval ?guard query init = (analyse ?guard query init).result
 
-let expected_hitting_time ?max_states query init =
-  let chain = build_chain ?max_states query init in
+let expected_hitting_time ?guard query init =
+  let chain = build_chain ?guard query init in
   let event_at i = Lang.Event.holds query.Lang.Forever.event (Chain.label chain i) in
   let targets =
     List.filter event_at (List.init (Chain.num_states chain) Fun.id)
@@ -56,26 +55,16 @@ type events_analysis = {
   masses : (Lang.Event.t * Q.t) list;
 }
 
-let eval_events ?max_states ?guard ~kernel ~events init =
+let eval_events ?guard ~kernel ~events init =
   let step =
     Obs.phase "compile" (fun () ->
         Prob.Pplan.apply
           (Prob.Pplan.compile_interp ~schema_of:(Lang.Compile.schema_of_database init) kernel))
   in
-  let chain = Obs.phase "explore" (fun () -> build_chain_step ?max_states ?guard step init) in
+  let chain = Obs.phase "explore" (fun () -> build_chain_step ?guard step init) in
   let lumping, masses = long_run_masses chain init events in
   {
     chain_states = Chain.num_states chain;
     lumped_classes = lumping.Markov.Lumping.num_classes;
     masses = List.combine events masses;
   }
-
-let eval_kernel ?max_states ~kernel ~event init =
-  let chain = build_chain_step ?max_states (Lang.Kernel.apply kernel) init in
-  List.hd (snd (long_run_masses chain init [ event ]))
-
-let eval_worlds ?max_states ?(prepare = Fun.id) query worlds =
-  Q.sum
-    (List.map
-       (fun (db, p) -> Q.mul p (eval ?max_states query (prepare db)))
-       (Prob.Dist.support worlds))

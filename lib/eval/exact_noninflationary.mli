@@ -21,27 +21,22 @@ type analysis = {
 }
 
 val build_chain :
-  ?max_states:int ->
-  ?guard:Guard.t ->
-  Lang.Forever.t ->
-  Relational.Database.t ->
-  Relational.Database.t Markov.Chain.t
-(** The chain of database instances reachable from the input (default state
-    cap 100000 guards against blow-up; {!Markov.Chain.Chain_error} past
-    it).  [guard] bounds exploration {e recoverably}: past its state budget
-    or deadline the build raises {!Guard.Exhausted} for the engine to turn
-    into a partial result or a sampling fallback. *)
+  ?guard:Guard.t -> Lang.Forever.t -> Relational.Database.t -> Relational.Database.t Markov.Chain.t
+(** The chain of database instances reachable from the input.  [guard]
+    (default {!Guard.unlimited}: no bound) is the only bound on
+    exploration: past its state budget or deadline the build raises
+    {!Guard.Exhausted} for the engine to turn into a partial result or a
+    sampling fallback.  Every function below that takes a [guard] passes
+    it here; the others explore without a bound. *)
 
-val eval :
-  ?max_states:int -> ?guard:Guard.t -> Lang.Forever.t -> Relational.Database.t -> Bigq.Q.t
+val eval : ?guard:Guard.t -> Lang.Forever.t -> Relational.Database.t -> Bigq.Q.t
 (** The query result: long-run average probability that the event holds. *)
 
-val analyse :
-  ?max_states:int -> ?guard:Guard.t -> Lang.Forever.t -> Relational.Database.t -> analysis
+val analyse : ?guard:Guard.t -> Lang.Forever.t -> Relational.Database.t -> analysis
 (** {!eval} plus the structural diagnostics. *)
 
 val expected_hitting_time :
-  ?max_states:int -> Lang.Forever.t -> Relational.Database.t -> Bigq.Q.t option
+  ?guard:Guard.t -> Lang.Forever.t -> Relational.Database.t -> Bigq.Q.t option
 (** Expected number of steps until the event first holds, starting from the
     input state, exactly ({!Markov.Hitting}).  [Some 0] if it already
     holds; [None] when the event is reached with probability < 1. *)
@@ -53,7 +48,6 @@ type events_analysis = {
 }
 
 val eval_events :
-  ?max_states:int ->
   ?guard:Guard.t ->
   kernel:Prob.Interp.t ->
   events:Lang.Event.t list ->
@@ -66,16 +60,3 @@ val eval_events :
     physical plans ({!Prob.Pplan}) built against the initial database's
     schemas.  Records [Obs] phases "compile", "explore", "lump" and
     "solve". *)
-
-val eval_kernel :
-  ?max_states:int -> kernel:Lang.Kernel.t -> event:Lang.Event.t -> Relational.Database.t -> Bigq.Q.t
-(** {!eval} for an arbitrary (possibly composite) transition kernel built
-    with {!Lang.Kernel} combinators. *)
-
-val eval_worlds :
-  ?max_states:int ->
-  ?prepare:(Relational.Database.t -> Relational.Database.t) ->
-  Lang.Forever.t ->
-  Relational.Database.t Prob.Dist.t ->
-  Bigq.Q.t
-(** Weighted average over initial worlds of a probabilistic database. *)

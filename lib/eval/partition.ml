@@ -54,13 +54,36 @@ let saturate program db =
 let has_negation program =
   List.exists (fun (r : Lang.Datalog.rule) -> r.Lang.Datalog.neg <> []) program
 
+(* Each probabilistic rule's head predicate and key mask: head facts that
+   agree on the key arguments compete in one repair-key choice. *)
+let choice_groups program =
+  List.filter_map
+    (fun (r : Lang.Datalog.rule) ->
+      let h = r.Lang.Datalog.head in
+      if not (Lang.Datalog.is_probabilistic_rule r) then None
+      else Some (h.Lang.Datalog.hpred, List.map (fun a -> a.Lang.Datalog.is_key) h.Lang.Datalog.hargs))
+    program
+
+module Tuple_tbl = Hashtbl.Make (Tuple)
+
 let classes program db =
   (* Negation makes derivability non-monotone, so the provenance
      saturation no longer over-approximates interaction; fall back to a
      single class (no partitioning). *)
   if has_negation program then [ base_tuples db ]
-  else begin
+  else
   let base, facts = saturate_internal program db in
+  let groups = choice_groups program in
+  let chosen pred = List.exists (fun (p, _) -> String.equal p pred) groups in
+  (* A choice among facts derivable from no base tuple at all would be
+     drawn afresh in every class's sub-database, so the classes would not
+     be independent: one class again. *)
+  if
+    Saturate.fold
+      (fun pred _ prov acc -> acc || (chosen pred && Int_set.is_empty prov))
+      facts false
+  then [ base ]
+  else begin
   let n = List.length base in
   let uf = uf_create n in
   (* All base ids co-occurring in some fact's provenance interact.  The
@@ -83,14 +106,31 @@ let classes program db =
           | first :: rest -> List.iter (uf_union uf first) rest)
         (List.rev provs))
     by_pred;
-  let groups = Hashtbl.create 16 in
+  (* The alternatives of one repair-key choice interact too: the walk picks
+     one of them, so every base id behind any of them joins one class. *)
+  List.iter
+    (fun (gpred, keys) ->
+      let root_of = Tuple_tbl.create 16 in
+      Saturate.fold
+        (fun pred t prov () ->
+          if String.equal pred gpred then
+            let key = Tuple.of_list (List.filteri (fun i _ -> List.nth keys i) (Tuple.to_list t)) in
+            Int_set.iter
+              (fun i ->
+                match Tuple_tbl.find_opt root_of key with
+                | Some root -> uf_union uf root i
+                | None -> Tuple_tbl.replace root_of key i)
+              prov)
+        facts ())
+    groups;
+  let classes = Hashtbl.create 16 in
   List.iteri
     (fun i bt ->
       let root = uf_find uf i in
-      let prev = Option.value ~default:[] (Hashtbl.find_opt groups root) in
-      Hashtbl.replace groups root (bt :: prev))
+      let prev = Option.value ~default:[] (Hashtbl.find_opt classes root) in
+      Hashtbl.replace classes root (bt :: prev))
     base;
-  Hashtbl.fold (fun _ members acc -> List.rev members :: acc) groups []
+  Hashtbl.fold (fun _ members acc -> List.rev members :: acc) classes []
   end
 
 let restrict db keep =
@@ -99,16 +139,20 @@ let restrict db keep =
       Relation.filter (fun t -> List.exists (fun (n, t') -> String.equal n name && Tuple.equal t t') keep) r)
     db
 
-let eval_noninflationary ?max_states program db event =
+(* Each class is compiled against its own sub-database and explored under
+   the one run guard, so the budget spans every class's chain. *)
+let eval_noninflationary ?guard program db event =
   let parts = classes program db in
   let p_none =
     List.fold_left
       (fun acc part ->
-        let sub = restrict db part in
-        let kernel, init = Lang.Compile.noninflationary_kernel program sub in
-        let query = Lang.Forever.make ~kernel ~event in
-        let p = Exact_noninflationary.eval ?max_states query init in
-        Q.mul acc (Q.sub Q.one p))
+        let kernel, init = Lang.Compile.noninflationary_kernel program (restrict db part) in
+        let query =
+          Obs.phase "compile" (fun () ->
+              Lang.Forever.compile ~schema_of:(Lang.Compile.schema_of_database init)
+                (Lang.Forever.make ~kernel ~event))
+        in
+        Q.mul acc (Q.sub Q.one (Exact_noninflationary.eval ?guard query init)))
       Q.one parts
   in
-  Q.sub Q.one p_none
+  (Q.sub Q.one p_none, List.length parts)

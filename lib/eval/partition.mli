@@ -14,19 +14,18 @@ val classes :
 (** Partition of the base tuples (all tuples of the input database) into
     independence classes. *)
 
-val restrict :
-  Relational.Database.t -> (string * Relational.Tuple.t) list -> Relational.Database.t
-(** The sub-database keeping only the given base tuples (every relation
-    name survives, possibly empty). *)
-
 val eval_noninflationary :
-  ?max_states:int ->
+  ?guard:Guard.t ->
   Lang.Datalog.program ->
   Relational.Database.t ->
   Lang.Event.t ->
-  Bigq.Q.t
+  Bigq.Q.t * int
 (** Partitioned exact evaluation of the non-inflationary datalog query:
-    compile and evaluate per class, combine multiplicatively.  Sound when
+    compile each class's kernel to physical plans against its
+    sub-database, evaluate per class, combine multiplicatively.  Returns
+    the answer and the number of classes.  [guard] (default
+    {!Guard.unlimited}) bounds the states explored across all classes'
+    chains together and raises {!Guard.Exhausted} past it.  Sound when
     the classes are genuinely independent (which the provenance analysis
     guarantees for derivations; the caller must ensure the event is a
     per-class property, as in the paper). *)

@@ -32,8 +32,8 @@ let eval_time_average rng ?(burn_in = 0) ~steps query init =
   done;
   float_of_int !hits /. float_of_int steps
 
-let estimate_burn_in ?max_states ?max_steps ~eps query init =
-  let chain = Exact_noninflationary.build_chain ?max_states query init in
+let estimate_burn_in ?max_steps ~eps query init =
+  let chain = Exact_noninflationary.build_chain query init in
   match Markov.Chain.index chain init with
   | None -> None
   | Some start -> Markov.Mixing.mixing_time_from ?max_steps ~eps chain ~start

@@ -35,7 +35,8 @@ val eval_time_average :
     the estimate on slow-mixing chains. *)
 
 val estimate_burn_in :
-  ?max_states:int -> ?max_steps:int -> eps:float -> Lang.Forever.t -> Relational.Database.t -> int option
-(** Builds the exact chain and measures the mixing time from the input
-    state — usable on small instances to calibrate [burn_in].  [None] when
+  ?max_steps:int -> eps:float -> Lang.Forever.t -> Relational.Database.t -> int option
+(** Builds the exact chain (no state bound) and measures the mixing time
+    from the input state — usable on small instances to calibrate
+    [burn_in].  [None] when
     the chain is not ergodic or does not mix within [max_steps]. *)

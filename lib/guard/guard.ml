@@ -52,7 +52,22 @@ let unlimited =
     cancelled = Atomic.make false;
   }
 
+let default_state_budget = 100_000
+
+(* One domain check for every entry point: a non-positive budget or
+   deadline can only stop a run before it starts, which is a usage error,
+   not an outcome. *)
 let make ?deadline_ms ?max_states ?max_samples () =
+  let positive what = function
+    | Some n when n <= 0 -> invalid_arg (Printf.sprintf "%s must be positive, got %d" what n)
+    | _ -> ()
+  in
+  positive "state budget" max_states;
+  positive "sample budget" max_samples;
+  (match deadline_ms with
+   | Some ms when not (ms > 0.) ->
+     invalid_arg (Printf.sprintf "deadline must be positive, got %g ms" ms)
+   | _ -> ());
   {
     active = true;
     started_ns = Obs.now_ns ();

@@ -40,9 +40,18 @@ val unlimited : t
 (** The inactive guard: every checker returns [None], nothing is ever
     charged or checked.  This is the default everywhere. *)
 
+val default_state_budget : int
+(** 100 000: the state budget [probdl] and the daemon's default tenant
+    apply when none is given, so an exact run over an exponential state
+    space (Prop 4.4, Prop 5.4) ends in a declared outcome.  Library callers
+    get {!unlimited} unless they ask. *)
+
 val make :
   ?deadline_ms:float -> ?max_states:int -> ?max_samples:int -> unit -> t
-(** An active guard.  The deadline clock starts at [make] time and reads
+(** An active guard.  [max_states] bounds the states every exact method
+    explores (chain states, Prop 4.4 traversal states, lineage nodes,
+    enumerated worlds); [max_samples] bounds drawn samples.  Raises
+    [Invalid_argument] when a budget or the deadline is not positive.  The deadline clock starts at [make] time and reads
     the monotonic [Obs.now_ns] high-water clock, never [gettimeofday]
     directly — a wall-clock step (NTP, manual set) in a resident process
     can neither fire a deadline early nor defer it indefinitely, and

@@ -50,7 +50,7 @@ let states_c = Obs.counter "chain.states"
 let edges_c = Obs.counter "chain.edges"
 let frontier_c = Obs.counter "chain.frontier_max"
 
-let of_step (type a) ~(hash : a -> int) ~(equal : a -> a -> bool) ?max_states
+let of_step (type a) ~(hash : a -> int) ~(equal : a -> a -> bool)
     ?(guard = Guard.unlimited) ~(init : a list) ~(step : a -> a Dist.t) () =
   let module H = Hashtbl.Make (struct
     type t = a
@@ -72,9 +72,9 @@ let of_step (type a) ~(hash : a -> int) ~(equal : a -> a -> bool) ?max_states
   in
   (* Budget checks follow the [obs] latching: [gtick]/[gstop] are [None]
      for the default unlimited guard, so the governed-off loop is the
-     unguarded one.  [gtick] is charged per fresh intern (where [max_states]
-     already checks), [gstop] polled per expanded state so deadlines and
-     interrupts fire even when exploration stops discovering new states. *)
+     unguarded one.  [gtick] is charged per fresh intern, [gstop] polled
+     per expanded state so deadlines and interrupts fire even when
+     exploration stops discovering new states. *)
   let gtick = Guard.state_tick guard in
   let gstop = Guard.stop_check guard in
   (* Interning costs one hash + an expected O(1) bucket probe instead of the
@@ -85,9 +85,6 @@ let of_step (type a) ~(hash : a -> int) ~(equal : a -> a -> bool) ?max_states
     | Some i -> (i, false)
     | None ->
       let i = !count in
-      (match max_states with
-       | Some m when i >= m -> err "state space exceeds max_states = %d" m
-       | _ -> ());
       (match gtick with Some tick -> tick () | None -> ());
       H.add index s i;
       push s;
@@ -154,68 +151,6 @@ let of_step (type a) ~(hash : a -> int) ~(equal : a -> a -> bool) ?max_states
   in
   Array.iteri (check_row n) rows;
   { labels; rows; find = (fun l -> H.find_opt index l) }
-
-(* Map-based interning, kept as the ablation baseline for the hashed intern
-   table (bench E19) and for label types with an order but no cheap hash. *)
-let of_step_ordered (type a) ~(compare : a -> a -> int) ?max_states ~(init : a list)
-    ~(step : a -> a Dist.t) () =
-  let module M = Map.Make (struct
-    type t = a
-
-    let compare = compare
-  end) in
-  let index = ref M.empty in
-  let states : a option array ref = ref (Array.make 16 None) in
-  let count = ref 0 in
-  let push s =
-    if !count = Array.length !states then begin
-      let bigger = Array.make (2 * !count) None in
-      Array.blit !states 0 bigger 0 !count;
-      states := bigger
-    end;
-    !states.(!count) <- Some s;
-    incr count
-  in
-  let intern s =
-    match M.find_opt s !index with
-    | Some i -> (i, false)
-    | None ->
-      let i = !count in
-      (match max_states with
-       | Some m when i >= m -> err "state space exceeds max_states = %d" m
-       | _ -> ());
-      index := M.add s i !index;
-      push s;
-      (i, true)
-  in
-  let get i = match !states.(i) with Some s -> s | None -> assert false in
-  let queue = Queue.create () in
-  List.iter (fun s -> Queue.add (fst (intern s)) queue) init;
-  let rows = Hashtbl.create 64 in
-  while not (Queue.is_empty queue) do
-    let i = Queue.pop queue in
-    if not (Hashtbl.mem rows i) then begin
-      let d = step (get i) in
-      let row =
-        List.map
-          (fun (s', p) ->
-            let j, fresh = intern s' in
-            if fresh then Queue.add j queue;
-            (j, p))
-          (Dist.support d)
-      in
-      Hashtbl.replace rows i row
-    end
-  done;
-  let n = !count in
-  let labels = Array.init n get in
-  let rows =
-    Array.init n (fun i ->
-        match Hashtbl.find_opt rows i with Some r -> r | None -> [ (i, Q.one) ])
-  in
-  Array.iteri (check_row n) rows;
-  let final_index = !index in
-  { labels; rows; find = (fun l -> M.find_opt l final_index) }
 
 let num_states c = Array.length c.labels
 let label c i = c.labels.(i)

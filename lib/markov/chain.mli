@@ -11,7 +11,6 @@ exception Chain_error of string
 val of_step :
   hash:('a -> int) ->
   equal:('a -> 'a -> bool) ->
-  ?max_states:int ->
   ?guard:Guard.t ->
   init:'a list ->
   step:('a -> 'a Prob.Dist.t) ->
@@ -22,26 +21,14 @@ val of_step :
     over database instances (Section 3.1).  States are interned in a hash
     table keyed by [(hash, equal)] — [hash] must agree with [equal] — so
     exploration costs O(states * out-degree) expected rather than the
-    O(n log n) full-state comparisons of a map.  Raises {!Chain_error} when
-    more than [max_states] states are discovered (default: unbounded).
+    O(n log n) full-state comparisons of a map.
 
-    [guard] (default {!Guard.unlimited}) is charged one state per fresh
-    intern and polled once per expanded state, so exploration raises
-    {!Guard.Exhausted} when the guard's state budget or deadline runs out
-    or an interrupt is requested — a {e recoverable} stop, unlike the
-    [max_states] hard failure, letting engines degrade to a partial
-    result. *)
-
-val of_step_ordered :
-  compare:('a -> 'a -> int) ->
-  ?max_states:int ->
-  init:'a list ->
-  step:('a -> 'a Prob.Dist.t) ->
-  unit ->
-  'a t
-(** {!of_step} with [Map]-based interning over [compare].  Baseline for the
-    hashed intern table (bench E19); also usable when labels have an order
-    but no cheap hash. *)
+    [guard] (default {!Guard.unlimited}: no bound) is the only bound on
+    exploration.  It is charged one state per fresh intern and polled once
+    per expanded state, so exploration raises {!Guard.Exhausted} when the
+    guard's state budget or deadline runs out or an interrupt is requested
+    — a recoverable stop that engines turn into a partial result or a
+    sampling fallback. *)
 
 val of_rows :
   ?equal:('a -> 'a -> bool) -> ?hash:('a -> int) -> 'a array -> (int * Bigq.Q.t) list array -> 'a t

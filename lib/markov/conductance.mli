@@ -12,7 +12,9 @@ val is_reversible : 'a Chain.t -> bool
 
 val conductance : ?max_states:int -> 'a Chain.t -> Bigq.Q.t
 (** Raises {!Chain.Chain_error} if the chain is not irreducible or has more
-    than [max_states] (default 16) states. *)
+    than [max_states] (default 16) states.  [max_states] bounds the
+    exhaustive enumeration of state subsets (2{^n} of them); it is not the
+    explored-state budget of exact evaluation, which is {!Guard}'s. *)
 
 val cheeger_mixing_upper_bound : eps:float -> 'a Chain.t -> float
 (** The classical bound for lazy reversible chains:

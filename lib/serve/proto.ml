@@ -34,7 +34,6 @@ type query = {
   q_steps : int;
   q_seed : int;
   q_domains : int option;
-  q_max_states : int;
   q_max_steps : int option;
   q_stats : bool;
   q_trace : bool;
@@ -135,7 +134,6 @@ let query_of o ~default_method =
       q_steps = dflt 10_000 (opt_int o "steps");
       q_seed = dflt 0 (opt_int o "seed");
       q_domains = opt_int o "domains";
-      q_max_states = dflt 100_000 (opt_int o "max_states");
       q_max_steps = opt_int o "max_steps";
       q_stats = dflt true (opt_bool o "stats");
       q_trace = dflt false (opt_bool o "trace")

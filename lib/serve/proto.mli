@@ -51,7 +51,6 @@ type query = {
   q_steps : int;
   q_seed : int;
   q_domains : int option;
-  q_max_states : int;
   q_max_steps : int option;
   q_stats : bool;
   q_trace : bool;  (** per-request trace export, returned inline *)

@@ -31,7 +31,7 @@ let default_profile =
   { tp_name = "default";
     tp_deadline_ms = None;
     tp_batch_deadline_ms = None;
-    tp_state_budget = None;
+    tp_state_budget = Some Guard.default_state_budget;
     tp_sample_budget = None;
     tp_max_inflight = 8;
     tp_fallback = true
@@ -152,7 +152,19 @@ let cleanup_stale_socket path =
     | `Other msg -> failwith (Printf.sprintf "%s: cannot probe socket: %s" path msg)
   end
 
+(* Every profile's budgets pass [Guard.make]'s domain check once, before
+   the socket is bound: a bad flag or tenant spec stops the daemon at
+   startup instead of failing each request. *)
+let check_profile p =
+  try
+    ignore
+      (Guard.make ?deadline_ms:p.tp_deadline_ms ?max_states:p.tp_state_budget
+         ?max_samples:p.tp_sample_budget ());
+    ignore (Guard.make ?deadline_ms:p.tp_batch_deadline_ms ())
+  with Invalid_argument m -> failwith (Printf.sprintf "tenant %s: %s" p.tp_name m)
+
 let create cfg =
+  List.iter check_profile (cfg.default_tenant :: cfg.tenants);
   let sockaddr, fd =
     match cfg.socket with
     | Unix_sock path ->
@@ -344,9 +356,8 @@ let run_query t ~tenant ~id ~corr ~corr_seq (q : Proto.query) =
                     let prep, hit, compile_ns = Request.prepare_timed ~cache:t.cache spec in
                     let t1 = Obs.now_ns () in
                     let report =
-                      Eval.Engine.execute ~seed:q.q_seed ~max_states:q.q_max_states
-                        ?max_steps:q.q_max_steps ?domains:q.q_domains ~guard ~on_budget
-                        ~stats:q.q_stats prep
+                      Eval.Engine.execute ~seed:q.q_seed ?max_steps:q.q_max_steps
+                        ?domains:q.q_domains ~guard ~on_budget ~stats:q.q_stats prep
                     in
                     let t2 = Obs.now_ns () in
                     let trace =

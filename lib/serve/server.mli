@@ -54,7 +54,8 @@ type tenant_profile = {
 }
 
 val default_profile : tenant_profile
-(** No budgets, [tp_max_inflight] 8, fallback on. *)
+(** State budget {!Guard.default_state_budget}, no other budget,
+    [tp_max_inflight] 8, fallback on. *)
 
 val profile_of_spec : default:tenant_profile -> string -> tenant_profile
 (** Parses ["name,deadline_ms=500,state_budget=10000,max_inflight=2,..."]
@@ -90,7 +91,9 @@ val default_config : addr -> config
 type t
 
 val create : config -> t
-(** Binds and listens.  For a unix socket, a leftover path with no
+(** Binds and listens.  Raises [Failure] first when a tenant profile
+    carries a non-positive budget or deadline (the check of
+    {!Guard.make}).  For a unix socket, a leftover path with no
     listener behind it (crashed server) is removed first; a live listener
     raises [Failure].  With [state_dir] set, opens the journal and replays
     snapshot + records (truncating a torn tail) into the program table

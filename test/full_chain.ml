@@ -39,8 +39,8 @@ let event_mass chain ~start ~event =
   end
 
 (* The answer of a non-inflationary query on its full database-state chain. *)
-let query_mass ?max_states query init =
-  let chain = Eval.Exact_noninflationary.build_chain ?max_states query init in
+let query_mass ?guard query init =
+  let chain = Eval.Exact_noninflationary.build_chain ?guard query init in
   let start = match Chain.index chain init with Some i -> i | None -> 0 in
   event_mass chain ~start ~event:(fun i ->
       Lang.Event.holds query.Lang.Forever.event (Chain.label chain i))

@@ -261,7 +261,8 @@ let prop_progen_exact_invariant_under_reference =
       in
       let noninflationary db =
         let kernel, init = Lang.Compile.noninflationary_kernel case.Workload.Progen.program db in
-        Eval.Exact_noninflationary.eval ~max_states:400
+        Eval.Exact_noninflationary.eval
+          ~guard:(Guard.make ~max_states:400 ())
           (Lang.Forever.make ~kernel ~event:case.Workload.Progen.event)
           init
       in
@@ -269,7 +270,7 @@ let prop_progen_exact_invariant_under_reference =
       Q.equal (inflationary db) (inflationary (rebuild db))
       &&
       match noninflationary db with
-      | exception Markov.Chain.Chain_error _ -> true
+      | exception Guard.Exhausted _ -> true
       | direct -> Q.equal direct (noninflationary (rebuild db)))
 
 (* Fixed-seed sampling estimates are bit-identical at 1, 2 and 4 domains on

@@ -5,6 +5,10 @@
 module Q = Bigq.Q
 module Database = Relational.Database
 
+(* The state budget of the non-inflationary references: cases whose chain
+   passes it are skipped.  One fresh guard per evaluation. *)
+let cap () = Guard.make ~max_states:400 ()
+
 let case_of seed =
   let rng = Random.State.make [| seed |] in
   Workload.Progen.random_case rng
@@ -89,8 +93,8 @@ let prop_exact_vs_time_average_noninflationary =
         Lang.Compile.noninflationary_kernel case.Workload.Progen.program case.Workload.Progen.database
       in
       let q = Lang.Forever.make ~kernel ~event:case.Workload.Progen.event in
-      match Eval.Exact_noninflationary.analyse ~max_states:400 q init with
-      | exception Markov.Chain.Chain_error _ -> QCheck.assume_fail ()
+      match Eval.Exact_noninflationary.analyse ~guard:(cap ()) q init with
+      | exception Guard.Exhausted _ -> QCheck.assume_fail ()
       | a ->
         let exact = Q.to_float a.Eval.Exact_noninflationary.result in
         let rng = Random.State.make [| seed + 2 |] in
@@ -106,9 +110,9 @@ let prop_lumped_matches_direct =
         Lang.Compile.noninflationary_kernel case.Workload.Progen.program case.Workload.Progen.database
       in
       let q = Lang.Forever.make ~kernel ~event:case.Workload.Progen.event in
-      match Eval.Exact_noninflationary.eval ~max_states:400 q init with
-      | exception Markov.Chain.Chain_error _ -> QCheck.assume_fail ()
-      | lumped -> Q.equal lumped (Full_chain.query_mass ~max_states:400 q init))
+      match Eval.Exact_noninflationary.eval ~guard:(cap ()) q init with
+      | exception Guard.Exhausted _ -> QCheck.assume_fail ()
+      | lumped -> Q.equal lumped (Full_chain.query_mass ~guard:(cap ()) q init))
 
 (* Multi-event evaluation is consistent with one-at-a-time evaluation. *)
 let prop_multi_event_consistent =
@@ -118,11 +122,11 @@ let prop_multi_event_consistent =
         Lang.Compile.noninflationary_kernel case.Workload.Progen.program case.Workload.Progen.database
       in
       let q = Lang.Forever.make ~kernel ~event:case.Workload.Progen.event in
-      match Eval.Exact_noninflationary.eval ~max_states:400 q init with
-      | exception Markov.Chain.Chain_error _ -> QCheck.assume_fail ()
+      match Eval.Exact_noninflationary.eval ~guard:(cap ()) q init with
+      | exception Guard.Exhausted _ -> QCheck.assume_fail ()
       | direct ->
         let results =
-          Eval.Exact_noninflationary.eval_events ~max_states:400 ~kernel
+          Eval.Exact_noninflationary.eval_events ~guard:(cap ()) ~kernel
             ~events:[ case.Workload.Progen.event ] init
         in
         Q.equal direct (snd (List.hd results.Eval.Exact_noninflationary.masses)))
@@ -156,10 +160,10 @@ let prop_plan_exact_noninflationary =
         Lang.Compile.noninflationary_kernel case.Workload.Progen.program case.Workload.Progen.database
       in
       let q = Lang.Forever.make ~kernel ~event:case.Workload.Progen.event in
-      match Eval.Exact_noninflationary.eval ~max_states:400 q init with
-      | exception Markov.Chain.Chain_error _ -> QCheck.assume_fail ()
+      match Eval.Exact_noninflationary.eval ~guard:(cap ()) q init with
+      | exception Guard.Exhausted _ -> QCheck.assume_fail ()
       | direct ->
-        Q.equal direct (Eval.Exact_noninflationary.eval ~max_states:400 (compiled_of init q) init))
+        Q.equal direct (Eval.Exact_noninflationary.eval ~guard:(cap ()) (compiled_of init q) init))
 
 let prop_plan_sampled_trajectories_identical =
   QCheck.Test.make ~name:"plans: fixed-seed sampled trajectories bit-identical" ~count:30 arb_case
@@ -355,8 +359,15 @@ let with_out_of_cone (case : Workload.Progen.case) =
   case.Workload.Progen.program
   @ (Lang.Parser.parse "?Z(<X>, Y) :- z(X), e(X, Y).").Lang.Parser.program
 
+(* The budget bounds the non-inflationary chain only, as the references'
+   does; inflationary runs are unbounded. *)
 let engine_exact ~semantics parsed =
-  let r = Eval.Engine.run ~max_states:400 ~semantics ~method_:Eval.Engine.Exact parsed in
+  let guard =
+    match semantics with
+    | Eval.Engine.Noninflationary -> cap ()
+    | Eval.Engine.Inflationary -> Guard.unlimited
+  in
+  let r = Eval.Engine.run ~guard ~semantics ~method_:Eval.Engine.Exact parsed in
   Option.get r.Eval.Engine.exact
 
 let unsliced_inflationary program db event =
@@ -371,9 +382,9 @@ let unsliced_inflationary program db event =
    chain passes the state cap. *)
 let unsliced_noninflationary ?(full = true) (kernel, init) event =
   let q = Lang.Forever.make ~kernel ~event in
-  match Eval.Exact_noninflationary.eval ~max_states:400 q init with
-  | exception Markov.Chain.Chain_error _ -> None
-  | lumped -> Some (lumped, if full then Full_chain.query_mass ~max_states:400 q init else lumped)
+  match Eval.Exact_noninflationary.eval ~guard:(cap ()) q init with
+  | exception Guard.Exhausted _ -> None
+  | lumped -> Some (lumped, if full then Full_chain.query_mass ~guard:(cap ()) q init else lumped)
 
 let check_noninflationary ~engine reference =
   match reference with
@@ -435,6 +446,30 @@ let prop_slice_pctable =
            (unsliced_noninflationary ~full:false
               (Lang.Compile.noninflationary_kernel_ctable program full)
               event))
+
+(* Section 5.1 partitioning answers exactly what the whole chain does:
+   each class's chain is explored on compiled plans, and the per-class
+   answers combine to the whole chain's. *)
+let prop_partitioned_matches_exact =
+  QCheck.Test.make ~name:"partitioned = exact on random non-inflationary programs" ~count:20
+    arb_case (fun seed ->
+      let case = case_of seed in
+      let event = case.Workload.Progen.event in
+      let parsed =
+        { Lang.Parser.program = case.Workload.Progen.program;
+          facts = facts_of_database case.Workload.Progen.database;
+          vars = []; cond_facts = []; event = Some event; events = [ event ] }
+      in
+      let exact ~guard method_ =
+        (Eval.Engine.run ~guard ~semantics:Eval.Engine.Noninflationary ~method_ parsed)
+          .Eval.Engine.exact
+      in
+      match exact ~guard:(cap ()) Eval.Engine.Exact with
+      | None -> QCheck.assume_fail ()
+      | Some direct -> (
+        match exact ~guard:Guard.unlimited Eval.Engine.Exact_partitioned with
+        | Some p -> Q.equal p direct
+        | None -> false))
 
 (* Fixed cases: each is answered by the engine under both semantics and
    compared with the unsliced references. *)
@@ -559,7 +594,8 @@ let () =
             prop_engine_matches_direct;
             prop_lineage_matches_worlds;
             prop_slice_certain;
-            prop_slice_pctable
+            prop_slice_pctable;
+            prop_partitioned_matches_exact
           ] );
       ( "cone slicing",
         [ Alcotest.test_case "event on an underived relation" `Quick test_slice_underived_event;

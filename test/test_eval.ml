@@ -298,13 +298,6 @@ let test_noninflationary_resampling_coin () =
   let q, init = noninflationary_query "?A(X) :- base(X). ?- A(h)." db in
   Alcotest.check q_t "1/2" Q.half (Exact_noninflationary.eval q init)
 
-let test_max_states_guard () =
-  let q, init = noninflationary_query walk_src walk_db in
-  try
-    ignore (Exact_noninflationary.eval ~max_states:1 q init);
-    Alcotest.fail "expected Chain_error"
-  with Markov.Chain.Chain_error _ -> ()
-
 (* --- Non-inflationary sampling (Thm 5.6) -------------------------------- *)
 
 let test_sample_noninflationary () =
@@ -356,8 +349,11 @@ let test_partition_agrees_with_direct () =
     let kernel, init = Compile.noninflationary_kernel parsed.Parser.program disjoint_db in
     Exact_noninflationary.eval (Forever.make ~kernel ~event) init
   in
-  let partitioned = Partition.eval_noninflationary parsed.Parser.program disjoint_db event in
-  Alcotest.check q_t "same answer" direct partitioned
+  let partitioned, classes =
+    Partition.eval_noninflationary parsed.Parser.program disjoint_db event
+  in
+  Alcotest.check q_t "same answer" direct partitioned;
+  Alcotest.(check int) "classes counted" 3 classes
 
 let test_partition_saturate () =
   let parsed = parse "R(Y) :- R(X), e(X, Y). R(a) :- ." in
@@ -585,7 +581,7 @@ let test_negation_disables_partitioning () =
   (* And the partitioned evaluation still agrees (it is just direct). *)
   let event = Option.get parsed.Parser.event in
   Alcotest.check q_t "partitioned = direct" Q.half
-    (Partition.eval_noninflationary parsed.Parser.program db event)
+    (fst (Partition.eval_noninflationary parsed.Parser.program db event))
 
 (* --- Domain-parallel sampling (Pool) ------------------------------------ *)
 
@@ -1135,7 +1131,6 @@ let () =
           Alcotest.test_case "absorbing (Thm 5.5)" `Quick test_noninflationary_absorbing;
           Alcotest.test_case "periodic time-average" `Quick test_noninflationary_periodic;
           Alcotest.test_case "resampling coin" `Quick test_noninflationary_resampling_coin;
-          Alcotest.test_case "max_states guard" `Quick test_max_states_guard
         ] );
       ( "sample-noninflationary",
         [ Alcotest.test_case "mixing + estimate" `Slow test_sample_noninflationary;

@@ -49,8 +49,8 @@ let test_sample_budget () =
     (Guard.reason_slug (Guard.Samples { budget = 3; completed = 4 }))
 
 let test_deadline () =
-  let g = Guard.make ~deadline_ms:0.0 () in
-  (* A zero deadline is already past by the first poll. *)
+  let g = Guard.make ~deadline_ms:0.001 () in
+  (* A 1 us deadline is past by the first poll, 2 ms later. *)
   Unix.sleepf 0.002;
   Alcotest.(check bool) "exceeded" true (Guard.deadline_exceeded g);
   let check = Option.get (Guard.stop_check g) in
@@ -58,8 +58,8 @@ let test_deadline () =
      check ();
      Alcotest.fail "expected Exhausted"
    with Guard.Exhausted (Guard.Deadline { budget_ms; elapsed_ms }) ->
-     Alcotest.(check (float 0.0)) "budget" 0.0 budget_ms;
-     Alcotest.(check bool) "elapsed positive" true (elapsed_ms > 0.0));
+     Alcotest.(check (float 0.0)) "budget" 0.001 budget_ms;
+     Alcotest.(check bool) "elapsed past the budget" true (elapsed_ms > 0.001));
   Alcotest.(check string) "slug" "deadline" (Guard.reason_slug (Guard.deadline_reason g))
 
 (* The deadline clock must be the latched monotone Obs.now_ns, not
@@ -93,6 +93,22 @@ let test_monotonic_deadline () =
    | Some r ->
      Alcotest.(check bool) "post-step guard non-negative" true (r >= 0.0 && r <= 1_000_000.0));
   Alcotest.(check bool) "post-step guard not exceeded" false (Guard.deadline_exceeded g2)
+
+(* A budget or deadline that is not positive is a usage error, refused
+   before any run starts. *)
+let test_nonpositive_refused () =
+  List.iter
+    (fun (what, make) ->
+      match make () with
+      | _ -> Alcotest.failf "%s accepted" what
+      | exception Invalid_argument _ -> ())
+    [ ("state budget 0", fun () -> Guard.make ~max_states:0 ());
+      ("state budget -5", fun () -> Guard.make ~max_states:(-5) ());
+      ("sample budget -3", fun () -> Guard.make ~max_samples:(-3) ());
+      ("deadline 0 ms", fun () -> Guard.make ~deadline_ms:0. ());
+      ("deadline -1 ms", fun () -> Guard.make ~deadline_ms:(-1.) ());
+      ("deadline nan", fun () -> Guard.make ~deadline_ms:Float.nan ())
+    ]
 
 let test_cancel () =
   Guard.clear_interrupt ();
@@ -568,6 +584,130 @@ let test_lineage_fail () =
   | _ -> Alcotest.fail "expected Engine_error"
   | exception Engine.Engine_error _ -> ()
 
+(* --- one state budget across every exact path --------------------------- *)
+
+(* Two lazy walkers, on a 4-cycle and a 3-cycle, meeting at n0: a 16-state
+   chain (answer 1/12) that splits into no partition classes, so every
+   chain-based path explores all of it. *)
+let two_walkers_src =
+  let b = Buffer.create 512 in
+  List.iter
+    (fun (w, n) ->
+      Buffer.add_string b (Printf.sprintf "?C%d(Y) @W :- C%d(X), e%d(X, Y, W).\nC%d(n0).\n" w w w w);
+      for i = 0 to n - 1 do
+        Buffer.add_string b
+          (Printf.sprintf "e%d(n%d, n%d, 1). e%d(n%d, n%d, 1).\n" w i ((i + 1) mod n) w i i)
+      done)
+    [ (1, 4); (2, 3) ];
+  Buffer.add_string b "Both() :- C1(n0), C2(n0).\n?- Both().\n";
+  Buffer.contents b
+
+(* Inflationary reachability over random edge choices: the Prop 4.4
+   traversal visits one state per set of reached nodes. *)
+let choices_src =
+  "?N(<X>, Y) @W :- R(X), e(X, Y, W).\nR(Y) :- N(X, Y).\nR(a).\n\
+   e(a, b, 1). e(a, c, 1). e(b, d, 1). e(b, c, 1). e(c, d, 1). e(c, a, 1).\n?- R(d)."
+
+(* [line8_src] with a negated atom: pc-table evaluation enumerates worlds. *)
+let line8_neg_src =
+  let event = "?- R(v8).\n" in
+  String.sub line8_src 0 (String.length line8_src - String.length event)
+  ^ "S(X) :- R(X), !blocked(X).\nblocked(v0).\n?- S(v8).\n"
+
+let tight_budget = 3
+
+type budget_row = {
+  path : string;
+  degrade : unit -> Guard.reason option;
+      (** the reason the path stopped with under [Degrade], [None] if it completed *)
+  fallback : (unit -> Engine.report) option;  (** the run under [Fallback], where a sampler exists *)
+}
+
+let engine_row path ~semantics ?(method_ = Engine.Exact) src =
+  let run on_budget =
+    Engine.run ~seed:4 ~guard:(Guard.make ~max_states:tight_budget ()) ~on_budget ~semantics
+      ~method_ (parse src)
+  in
+  { path;
+    degrade =
+      (fun () ->
+        match (run Engine.Degrade).Engine.outcome with
+        | Engine.Partial { reason; _ } -> Some reason
+        | Engine.Complete -> None);
+    fallback = Some (fun () -> run (Engine.Fallback { eps = 0.1; delta = 0.1; burn_in = 20 }))
+  }
+
+(* Library entry points without a report raise [Exhausted] instead. *)
+let library_row path f =
+  { path;
+    degrade =
+      (fun () ->
+        match f (Guard.make ~max_states:tight_budget ()) with
+        | () -> None
+        | exception Guard.Exhausted reason -> Some reason);
+    fallback = None
+  }
+
+let two_walkers_query () =
+  let parsed = parse two_walkers_src in
+  let kernel, init = Engine.noninflationary_kernel parsed in
+  let event = Option.get parsed.Lang.Parser.event in
+  (kernel, event, init)
+
+let budget_rows =
+  [ engine_row "Prop 4.4 traversal" ~semantics:Engine.Inflationary choices_src;
+    engine_row "pc-table lineage" ~semantics:Engine.Inflationary line8_src;
+    engine_row "pc-table worlds" ~semantics:Engine.Inflationary line8_neg_src;
+    engine_row "non-inflationary chain" ~semantics:Engine.Noninflationary two_walkers_src;
+    library_row "eval_events" (fun guard ->
+        let kernel, event, init = two_walkers_query () in
+        ignore (Eval.Exact_noninflationary.eval_events ~guard ~kernel ~events:[ event ] init));
+    engine_row "partitioned" ~semantics:Engine.Noninflationary
+      ~method_:Engine.Exact_partitioned two_walkers_src;
+    library_row "hitting time" (fun guard ->
+        let kernel, event, init = two_walkers_query () in
+        ignore
+          (Eval.Exact_noninflationary.expected_hitting_time ~guard
+             (Lang.Forever.make ~kernel ~event) init))
+  ]
+
+let test_budget_every_exact_path () =
+  List.iter
+    (fun row ->
+      (match row.degrade () with
+       | Some (Guard.States { budget; _ }) ->
+         Alcotest.(check int) (row.path ^ ": budget") tight_budget budget
+       | Some r -> Alcotest.failf "%s: stopped by %s" row.path (Guard.describe r)
+       | None -> Alcotest.failf "%s: completed under a %d-state budget" row.path tight_budget);
+      match row.fallback with
+      | None -> ()
+      | Some run -> (
+        let r = run () in
+        (match r.Engine.downgrade with
+         | Some { Engine.to_ = "sampling"; trigger = "state-budget"; _ } -> ()
+         | _ -> Alcotest.failf "%s: no state-budget downgrade to sampling" row.path);
+        match r.Engine.outcome with
+        | Engine.Complete -> ()
+        | Engine.Partial _ -> Alcotest.failf "%s: fallback did not complete" row.path))
+    budget_rows
+
+(* The same programs answer exactly when the budget is not in the way,
+   the pc-table ones on the path their row names. *)
+let test_budget_rows_complete_unbounded () =
+  List.iter
+    (fun (src, semantics, method_, expect, pc_method) ->
+      let r = Engine.run ~semantics ~method_ (parse src) in
+      Alcotest.(check (option string)) "exact" (Some expect)
+        (Option.map Bigq.Q.to_string r.Engine.exact);
+      Alcotest.(check (option string)) "pc-table method" pc_method
+        (List.assoc_opt "pc-table method" r.Engine.diagnostics))
+    [ (choices_src, Engine.Inflationary, Engine.Exact, "5/8", None);
+      (line8_src, Engine.Inflationary, Engine.Exact, "1/256", Some "lineage");
+      (line8_neg_src, Engine.Inflationary, Engine.Exact, "1/256", Some "worlds");
+      (two_walkers_src, Engine.Noninflationary, Engine.Exact, "1/12", None);
+      (two_walkers_src, Engine.Noninflationary, Engine.Exact_partitioned, "1/12", None)
+    ]
+
 let test_stats3_json_shape () =
   let parsed = parse walk_src in
   let r =
@@ -690,6 +830,7 @@ let () =
           Alcotest.test_case "sample budget" `Quick test_sample_budget;
           Alcotest.test_case "deadline" `Quick test_deadline;
           Alcotest.test_case "monotonic latched deadline clock" `Quick test_monotonic_deadline;
+          Alcotest.test_case "non-positive budgets refused" `Quick test_nonpositive_refused;
           Alcotest.test_case "per-guard cancel" `Quick test_cancel;
           Alcotest.test_case "interrupt flag" `Quick test_interrupt_flag
         ] );
@@ -729,6 +870,12 @@ let () =
             test_lineage_fallback;
           Alcotest.test_case "lineage state budget under fail raises" `Quick test_lineage_fail;
           Alcotest.test_case "stats/3 document shape" `Quick test_stats3_json_shape
+        ] );
+      ( "one budget",
+        [ Alcotest.test_case "every exact path stops or falls back" `Quick
+            test_budget_every_exact_path;
+          Alcotest.test_case "the same programs complete unbounded" `Quick
+            test_budget_rows_complete_unbounded
         ] );
       qsuite "qcheck" [ prop_budget_soundness; prop_resume_identity ]
     ]

@@ -445,6 +445,105 @@ let test_tenant_budget_degrades () =
       let free = Serve.Jsonr.parse (Serve.Client.rpc c (q "other" "f1")) in
       Alcotest.(check string) "unbudgeted tenant completes" "complete" (outcome_status free))
 
+(* Two lazy walkers, on a 4-cycle and a 3-cycle: a 16-state chain whose
+   event holds with probability 1/12. *)
+let two_walkers_src =
+  let walker w n =
+    Printf.sprintf "?C%d(Y) @W :- C%d(X), e%d(X, Y, W). C%d(n0). " w w w w
+    ^ String.concat " "
+        (List.init n (fun i ->
+             Printf.sprintf "e%d(n%d, n%d, 1). e%d(n%d, n%d, 1)." w i ((i + 1) mod n) w i i))
+  in
+  walker 1 4 ^ " " ^ walker 2 3 ^ " Both() :- C1(n0), C2(n0). ?- Both()."
+
+let noninflationary_query ~id ~tenant ?(extra = "") () =
+  Printf.sprintf
+    {|{"op":"query","id":%S,"tenant":%S,"semantics":"noninflationary"%s,"source":%S}|} id
+    tenant extra two_walkers_src
+
+(* The retired "max_states" key is ignored like any unknown key: the
+   tenant's state budget is the one bound on explored states, so a 1-state
+   cap in the frame changes nothing, not even the plan-cache entry. *)
+let test_max_states_key_ignored () =
+  with_server (fun path _t ->
+      let c = Serve.Client.connect_unix ~retry_ms:2000 path in
+      Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
+      let query id extra =
+        Serve.Client.rpc_json c
+          (Serve.Jsonr.parse (noninflationary_query ~id ~tenant:"t1" ~extra ()))
+      in
+      (* The JSON probability is rendered to 6 digits, so the answers are
+         compared as the documents the two frames get back. *)
+      let answer resp =
+        let r = obj (get (check_ok resp) "report") in
+        J.List [ get r "probability"; get r "exact"; get r "outcome"; get r "downgrade" ]
+      in
+      let plain = query "plain" "" in
+      Alcotest.check json "exact answer" (J.Str "1/12")
+        (get (obj (get (check_ok plain) "report")) "exact");
+      let capped = query "capped" {|,"max_states":1|} in
+      Alcotest.check json "same answer with max_states" (answer plain) (answer capped);
+      Alcotest.check json "same plan-cache entry" (J.Str "hit") (get (check_ok capped) "cache"))
+
+(* A tenant state budget below the chain's 16 states: interactive work
+   falls back to the sampler, batch work returns a partial report. *)
+let test_tenant_state_budget_per_class () =
+  with_server
+    ~configure:(fun c ->
+      { c with
+        Serve.Server.tenants =
+          [ Serve.Server.profile_of_spec ~default:c.Serve.Server.default_tenant
+              "tight,state_budget=5"
+          ]
+      })
+    (fun path _t ->
+      let c = Serve.Client.connect_unix ~retry_ms:2000 path in
+      Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
+      let ask clazz =
+        Serve.Jsonr.parse
+          (Serve.Client.rpc c
+             (noninflationary_query ~id:clazz ~tenant:"tight"
+                ~extra:(Printf.sprintf {|,"class":%S,"seed":3|} clazz)
+                ()))
+      in
+      let interactive = ask "interactive" in
+      Alcotest.(check string) "interactive completes" "complete" (outcome_status interactive);
+      let report = obj (get (check_ok interactive) "report") in
+      Alcotest.check json "interactive falls back on the state budget"
+        (J.Obj [ ("from", J.Str "exact"); ("to", J.Str "sampling"); ("trigger", J.Str "state-budget") ])
+        (get report "downgrade");
+      Alcotest.check json "sampled, not exact" J.Null (get report "exact");
+      Alcotest.(check string) "batch degrades to partial" "partial" (outcome_status (ask "batch")))
+
+(* A non-positive budget in any profile stops the server before it binds. *)
+let test_bad_budget_refused_at_create () =
+  let cfg = Serve.Server.default_config (Serve.Server.Unix_sock "/nonexistent/probdbd.sock") in
+  List.iter
+    (fun (what, cfg) ->
+      match Serve.Server.create cfg with
+      | _ -> Alcotest.failf "%s accepted" what
+      | exception Failure _ -> ())
+    [ ( "default state budget 0",
+        { cfg with
+          Serve.Server.default_tenant =
+            { cfg.Serve.Server.default_tenant with Serve.Server.tp_state_budget = Some 0 }
+        } );
+      ( "tenant spec state_budget=-5",
+        { cfg with
+          Serve.Server.tenants =
+            [ Serve.Server.profile_of_spec ~default:cfg.Serve.Server.default_tenant
+                "ops,state_budget=-5"
+            ]
+        } );
+      ( "tenant spec batch_deadline_ms=0",
+        { cfg with
+          Serve.Server.tenants =
+            [ Serve.Server.profile_of_spec ~default:cfg.Serve.Server.default_tenant
+                "ops,batch_deadline_ms=0"
+            ]
+        } )
+    ]
+
 (* --- telemetry plane: metrics op, correlation ids, logs, traces ----------- *)
 
 let simple_query ~id ~tenant =
@@ -1559,7 +1658,12 @@ let () =
           Alcotest.test_case "cancel an in-flight request" `Quick test_cancel_inflight;
           Alcotest.test_case "per-tenant admission control" `Quick test_admission_control;
           Alcotest.test_case "per-tenant budget degrades per class" `Quick
-            test_tenant_budget_degrades
+            test_tenant_budget_degrades;
+          Alcotest.test_case "retired max_states key ignored" `Quick test_max_states_key_ignored;
+          Alcotest.test_case "tenant state budget: fallback or partial per class" `Quick
+            test_tenant_state_budget_per_class;
+          Alcotest.test_case "non-positive budgets refused at startup" `Quick
+            test_bad_budget_refused_at_create
         ] );
       ( "telemetry",
         [ Alcotest.test_case "metrics op: JSON + Prometheus, exact counts" `Quick test_metrics_op;
