@@ -179,6 +179,27 @@ let progress_arg =
           "Live progress line on stderr, updated from the recorded series: current step, \
            states, running estimate ± its confidence half-width.")
 
+(* The outcome column of the multi-event answer table: what the outcome
+   and downgrade lines of a single-event report say. *)
+let outcome_summary r =
+  let outcome =
+    match r.Eval.Engine.outcome with
+    | Eval.Engine.Complete -> "complete"
+    | Eval.Engine.Partial { reason; completed; requested; _ } ->
+      Printf.sprintf "partial — %s (%d/%d completed)" (Guard.describe reason) completed
+        requested
+  in
+  match r.Eval.Engine.downgrade with
+  | None -> outcome
+  | Some d -> Printf.sprintf "%s, downgrade %s -> %s (%s)" outcome d.from_ d.to_ d.trigger
+
+(* [s] padded with spaces to [n] display columns: events print "∈", three
+   bytes wide in UTF-8 but one column on screen. *)
+let pad n s =
+  let width = ref 0 in
+  String.iter (fun c -> if Char.code c land 0xC0 <> 0x80 then incr width) s;
+  s ^ String.make (max 0 (n - !width)) ' '
+
 let run_cmd =
   let run path semantics method_ eps delta burn_in steps seed max_steps domains
       deadline_ms state_budget sample_budget on_budget checkpoint resume stats stats_json
@@ -190,7 +211,11 @@ let run_cmd =
     | Error msg ->
       Format.eprintf "error: %s@." msg;
       1
+    | Ok { Lang.Parser.events = []; _ } ->
+      Format.eprintf "error: program has no ?- event@.";
+      1
     | Ok parsed -> (
+      let events = parsed.Lang.Parser.events in
       let method_ =
         match method_ with
         | `Exact -> Eval.Engine.Exact
@@ -205,18 +230,25 @@ let run_cmd =
         deadline_ms <> None || state_budget <> None || sample_budget <> None
         || checkpoint <> None || resume <> None
       in
-      (* Every run is bounded by the state budget (the default one when none
-         is given).  Governed runs also take SIGINT gracefully: the guard
-         watches the interrupt flag, so a checkpointing run stops with a
-         final checkpoint and a partial report instead of dying mid-save. *)
+      (* Every event is answered by its own run, each bounded by its own
+         state and sample budgets (the default state budget when none is
+         given); the deadline, counted from here, covers the whole command.
+         Governed runs also take SIGINT gracefully: the guard watches the
+         interrupt flag, so a checkpointing run stops with a final
+         checkpoint and a partial report instead of dying mid-save. *)
+      let max_states = Option.value state_budget ~default:Guard.default_state_budget in
       let guard =
-        try
-          Guard.make ?deadline_ms
-            ~max_states:(Option.value state_budget ~default:Guard.default_state_budget)
-            ?max_samples:sample_budget ()
+        try Guard.make ?deadline_ms ~max_states ?max_samples:sample_budget ()
         with Invalid_argument msg ->
           Format.eprintf "error: %s@." msg;
           exit 1
+      in
+      let guard_for i =
+        if i = 0 then guard
+        else
+          Guard.make
+            ?deadline_ms:(Option.map (Float.max Float.epsilon) (Guard.remaining_ms guard))
+            ~max_states ?max_samples:sample_budget ()
       in
       let on_budget =
         match on_budget with
@@ -225,33 +257,37 @@ let run_cmd =
         | `Fallback -> Eval.Engine.Fallback { eps; delta; burn_in }
       in
       (* The checkpoint key ties a snapshot to the run that wrote it:
-         program text + seed + semantics + sampling parameters.  A mismatch
-         makes resume fail loudly instead of mixing sampler states. *)
-      let ckpt =
-        match (checkpoint, resume) with
-        | None, None -> None
-        | _ -> (
-          let key =
-            Printf.sprintf "probdl|%s|%d|%s|%g|%g|%d"
-              (Digest.to_hex (Digest.file path))
-              seed
-              (Serve.Request.semantics_slug semantics)
-              eps delta burn_in
-          in
-          match Serve.Request.make_ckpt ~key ~checkpoint ~resume with
-          | Ok ckpt -> ckpt
-          | Error msg ->
-            Format.eprintf "error: %s@." msg;
-            exit 1)
+         program text + seed + semantics + sampling parameters + event.  A
+         mismatch makes resume fail loudly instead of mixing sampler states.
+         With several events, event i checkpoints to FILE.i.  Every resume
+         file is loaded before any event runs. *)
+      let ckpts =
+        let digest = Digest.to_hex (Digest.file path) in
+        let file i f = if List.length events > 1 then Printf.sprintf "%s.%d" f i else f in
+        List.mapi
+          (fun i e ->
+            let key =
+              Printf.sprintf "probdl|%s|%d|%s|%g|%g|%d|%s" digest seed
+                (Serve.Request.semantics_slug semantics)
+                eps delta burn_in
+                (Format.asprintf "%a" Lang.Event.pp e)
+            in
+            match
+              Serve.Request.make_ckpt ~key ~checkpoint:(Option.map (file i) checkpoint)
+                ~resume:(Option.map (file i) resume)
+            with
+            | Ok ckpt -> ckpt
+            | Error msg ->
+              Format.eprintf "error: %s@." msg;
+              exit 1)
+          events
       in
       if governed then begin
         Guard.clear_interrupt ();
         Sys.set_signal Sys.sigint (Sys.Signal_handle (fun _ -> Guard.request_interrupt ()))
       end;
-      (* Tracing is enabled here, around the whole run, rather than letting
-         [Engine.run] manage it: multi-event programs call the engine once
-         per event and the trace/series must accumulate across all of them
-         into one artifact. *)
+      (* Tracing and series recording are enabled here, around the whole
+         command, so that every event's run records into one artifact. *)
       if trace_on then begin
         Obs.Trace.reset ();
         Obs.Trace.set_enabled true
@@ -276,105 +312,52 @@ let run_cmd =
         end;
         code
       in
-      let run_one parsed =
-        Eval.Engine.run ~seed ?max_steps ?domains
-          ~guard ~on_budget ?ckpt ~stats ~trace:trace_on ~series:series_on ~semantics ~method_
-          parsed
-      in
-      let is_partial r =
-        match r.Eval.Engine.outcome with
-        | Eval.Engine.Complete -> false
-        | Eval.Engine.Partial _ -> true
+      let run_event i (e, ckpt) =
+        Eval.Engine.run ~seed ?max_steps ?domains ~guard:(guard_for i) ~on_budget ?ckpt
+          ~stats ~semantics ~method_
+          { parsed with Lang.Parser.event = Some e; events = [ e ] }
       in
       finish
       @@ try
-        match parsed.Lang.Parser.events with
-        | [] ->
-          Format.eprintf "error: program has no ?- event@.";
-          1
-        | [ _ ] ->
-          let report = run_one parsed in
-          if stats_json then
-            print_endline (Obs.Json.to_string (Eval.Engine.json_of_report ~tool:"probdl" report))
-          else Format.printf "%a@." Eval.Engine.pp_report report;
-          if is_partial report then 3 else 0
-        | events when stats_json ->
-          (* Per-event reports as one JSON array, so the document stays
-             machine-readable for multi-event programs too. *)
-          let reports =
-            List.map
-              (fun e -> run_one { parsed with Lang.Parser.event = Some e; events = [ e ] })
-              events
-          in
-          print_endline
-            (Obs.Json.to_string
-               (Obs.Json.List (List.map (Eval.Engine.json_of_report ~tool:"probdl") reports)));
-          if List.exists is_partial reports then 3 else 0
-        | events -> (
-          (* Several ?- events: answer them all.  Under non-inflationary
-             exact evaluation the chain of the events' joint cone is built
-             and decomposed once; --stats describes that one chain. *)
-          let one_by_one () =
-            Format.printf "%-30s %-14s %s@." "event" "answer" "exact";
-            let partial = ref false in
-            List.iter
-              (fun e ->
-                let report =
-                  run_one { parsed with Lang.Parser.event = Some e; events = [ e ] }
-                in
-                if is_partial report then partial := true;
-                Format.printf "%-30s %-14.6f %s@."
-                  (Format.asprintf "%a" Lang.Event.pp e)
-                  report.Eval.Engine.probability
-                  (match report.Eval.Engine.exact with
-                   | Some q -> Bigq.Q.to_string q
-                   | None -> "-"))
-              events;
-            if !partial then 3 else 0
-          in
-          let fallback = match on_budget with Eval.Engine.Fallback _ -> true | _ -> false in
-          match (semantics, method_) with
-          | Eval.Engine.Noninflationary, Eval.Engine.Exact -> (
-            if stats then begin
-              Obs.reset ();
-              Obs.set_enabled true
-            end;
-            let t0 = Obs.now_ns () in
-            let sliced = Obs.phase "slice" (fun () -> slice_to events parsed) in
-            let kernel, init = Eval.Engine.noninflationary_kernel sliced.Lang.Slice.parsed in
-            match Eval.Exact_noninflationary.eval_events ~guard ~kernel ~events init with
-            | exception Guard.Exhausted (Guard.States _) when fallback ->
-              (* The shared chain blew the state budget.  The guard stays
-                 spent, so each event's own exact run stops at once and
-                 falls back to the sampler, as a single-event run does. *)
-              one_by_one ()
-            | a ->
-              Format.printf "%-30s %-20s %s@." "event" "exact" "~float";
-              List.iter
-                (fun (e, p) ->
-                  Format.printf "%-30s %-20s %.6f@."
-                    (Format.asprintf "%a" Lang.Event.pp e)
-                    (Bigq.Q.to_string p) (Bigq.Q.to_float p))
-                a.Eval.Exact_noninflationary.masses;
-              if stats then
-                Format.printf "@[<v>--- stats ---@,cone relations: %s@,chain states: %d@,\
-                               lumped classes: %d@,%a@]@."
-                  (Lang.Slice.describe sliced) a.Eval.Exact_noninflationary.chain_states
-                  a.Eval.Exact_noninflationary.lumped_classes Eval.Engine.pp_stats
-                  (Eval.Engine.collect_stats ~engine:"exact-noninflationary"
-                     ~elapsed_ms:(Obs.ms_of_ns (Obs.now_ns () - t0)));
-              0)
-          | _ -> one_by_one ())
+        let reports = List.mapi run_event (List.combine events ckpts) in
+        (match reports with
+         | [ report ] ->
+           if stats_json then
+             print_endline (Obs.Json.to_string (Eval.Engine.json_of_report ~tool:"probdl" report))
+           else Format.printf "%a@." Eval.Engine.pp_report report
+         | _ when stats_json ->
+           print_endline
+             (Obs.Json.to_string
+                (Obs.Json.List (List.map (Eval.Engine.json_of_report ~tool:"probdl") reports)))
+         | _ ->
+           let answers = List.combine events reports in
+           Format.printf "%-30s %-14s %-20s %s@." "event" "answer" "exact" "outcome";
+           List.iter
+             (fun (e, r) ->
+               Format.printf "%s %-14.6f %-20s %s@."
+                 (pad 30 (Format.asprintf "%a" Lang.Event.pp e))
+                 r.Eval.Engine.probability
+                 (match r.Eval.Engine.exact with Some q -> Bigq.Q.to_string q | None -> "-")
+                 (outcome_summary r))
+             answers;
+           List.iter
+             (fun (e, r) ->
+               match r.Eval.Engine.stats with
+               | None -> ()
+               | Some s ->
+                 Format.printf "@[<v>--- stats: %a ---" Lang.Event.pp e;
+                 List.iter
+                   (fun (k, v) -> Format.printf "@,%-10s: %s" k v)
+                   r.Eval.Engine.diagnostics;
+                 Format.printf "@,%a@]@." Eval.Engine.pp_stats s)
+             answers);
+        if List.exists (fun r -> r.Eval.Engine.outcome <> Eval.Engine.Complete) reports then 3
+        else 0
       with
       | Eval.Engine.Engine_error msg | Lang.Compile.Compile_error msg
       | Markov.Chain.Chain_error msg ->
         Format.eprintf "error: %s@." msg;
-        1
-      | Guard.Exhausted reason ->
-        (* Only the multi-event exact fast path lets this escape (single-event
-           runs turn it into a report inside the engine). *)
-        Format.eprintf "partial: %s@." (Guard.describe reason);
-        if on_budget = Eval.Engine.Fail then 1 else 3)
+        1)
   in
   let doc = "Evaluate the program's ?- event probability." in
   Cmd.v (Cmd.info "run" ~doc)
@@ -520,11 +503,15 @@ let hitting_cmd =
       Format.eprintf "error: %s@." msg;
       1
     | Ok parsed -> (
-      match parsed.Lang.Parser.event with
-      | None ->
+      match parsed.Lang.Parser.events with
+      | [] ->
         Format.eprintf "error: program has no ?- event@.";
         1
-      | Some event -> (
+      | _ :: _ :: _ as events ->
+        Format.eprintf "error: program has %d ?- events; hitting answers one@."
+          (List.length events);
+        1
+      | [ event ] -> (
         try
           let kernel, init =
             Eval.Engine.noninflationary_kernel (slice_to [ event ] parsed).Lang.Slice.parsed
@@ -588,9 +575,15 @@ let repl_eval st query_line =
       if st.sampling then Eval.Engine.Sampling { eps = st.eps; delta = 0.05; burn_in = st.burn_in }
       else Eval.Engine.Exact
     in
+    (* The typed query is the last event: clauses loaded from a file may
+       carry ?- events of their own. *)
+    let event = List.hd (List.rev parsed.Lang.Parser.events) in
     try
       let guard = Guard.make ~max_states:Guard.default_state_budget () in
-      let report = Eval.Engine.run ~guard ~semantics:st.semantics ~method_ parsed in
+      let report =
+        Eval.Engine.run ~guard ~semantics:st.semantics ~method_
+          { parsed with Lang.Parser.event = Some event; events = [ event ] }
+      in
       match (report.Eval.Engine.outcome, report.Eval.Engine.exact) with
       | Eval.Engine.Partial { reason; _ }, _ ->
         Format.printf "partial: %s@." (Guard.describe reason)

@@ -78,6 +78,30 @@ if " of " not in cone or "slice" not in phases:
 ' || { echo "lumped stats check failed for coin_flip.pdl" >&2; exit 1; }
 echo "ok: --stats-json documents parse with engine/steps/draws/elapsed_ms/outcome/downgrade; pc-table lineage answers 1/8; coin_flip lumps and reports its cone"
 
+echo "== multi-event smoke =="
+# Several ?- events are answered by one run each, on each event's own
+# cone: five independent lazy 4-cycles with one event per walker give five
+# documents of 4 chain states each, never the 4^5-state product.
+FIVE_TMP=$(mktemp -d)
+for w in 1 2 3 4 5; do
+  echo "?C$w(Y) @W :- C$w(X), e$w(X, Y, W)."
+  echo "C$w(n0)."
+  for i in 0 1 2 3; do echo "e$w(n$i, n$(( (i + 1) % 4 )), 1). e$w(n$i, n$i, 1)."; done
+done > "$FIVE_TMP/five.pdl"
+for w in 1 2 3 4 5; do echo "?- C$w(n0)."; done >> "$FIVE_TMP/five.pdl"
+timeout 20 "$PROBDL" run "$FIVE_TMP/five.pdl" -s noninflationary --stats-json | python3 -c '
+import json, sys
+docs = json.load(sys.stdin)
+if len(docs) != 5:
+    sys.exit(f"want 5 documents, got {len(docs)}")
+for doc in docs:
+    states, exact = doc["diagnostics"].get("chain states"), doc["exact"]
+    if states != "4" or exact != "1/4":
+        sys.exit(f"chain states {states!r}, exact {exact!r}: want 4, 1/4")
+' || { echo "multi-event smoke failed" >&2; rm -rf "$FIVE_TMP"; exit 1; }
+rm -rf "$FIVE_TMP"
+echo "ok: 5 events, 5 documents, 4 chain states each"
+
 echo "== trace smoke =="
 # --trace files must be valid Chrome trace-event JSON: known phase values,
 # balanced B/E spans per track, non-decreasing integer timestamps per track,

@@ -157,9 +157,11 @@ let prepare ~semantics ~method_ (parsed : Lang.Parser.parsed) =
      if burn_in < 0 then err "burn-in must be non-negative, got %d" burn_in
    | Exact | Exact_partitioned -> ());
   let event =
-    match parsed.Lang.Parser.event with
-    | Some e -> e
-    | None -> err "program has no ?- event"
+    match parsed.Lang.Parser.events with
+    | [ e ] -> e
+    | [] -> err "program has no ?- event"
+    | events ->
+      err "program has %d ?- events; a run answers one" (List.length events)
   in
   (* Everything below sees only the event's cone: rules, facts and pc-table
      variables the event cannot depend on are gone before any kernel is
@@ -263,9 +265,13 @@ let prepare ~semantics ~method_ (parsed : Lang.Parser.parsed) =
       in
       fallback ~eps ~delta ~burn_in ~downgrade:dg
     | (Degrade | Fallback _), _ ->
-      let explored = Guard.states_reached env.env_guard in
-      let requested =
-        match Guard.state_budget env.env_guard with Some b -> b | None -> 0
+      (* The state that overflowed the budget was charged but never
+         explored: progress is reported up to the budget, not past it. *)
+      let explored, requested =
+        let reached = Guard.states_reached env.env_guard in
+        match Guard.state_budget env.env_guard with
+        | Some b -> (min reached b, b)
+        | None -> (reached, 0)
       in
       mk ~probability:Float.nan
         ~outcome:(Partial { reason; completed = explored; requested; ci = None })
@@ -493,32 +499,13 @@ let execute ?(seed = 0) ?max_steps ?(domains = 1) ?(guard = Guard.unlimited)
 
 let run ?(seed = 0) ?max_steps ?(domains = 1)
     ?(guard = Guard.unlimited) ?(on_budget = Degrade) ?ckpt ?(stats = false)
-    ?(trace = false) ?(series = false) ~semantics ~method_ (parsed : Lang.Parser.parsed) =
-  let series = series || trace in
+    ~semantics ~method_ (parsed : Lang.Parser.parsed) =
   let obs_was = Obs.enabled () in
   if stats then begin
     Obs.reset ();
     Obs.set_enabled true
   end;
-  (* Trace/Series stay untouched when a caller (a CLI accumulating over
-     several ?- events) enabled them already; otherwise they are reset here
-     and disabled on the way out — the recorded buffers survive disabling,
-     so the caller can still flush them. *)
-  let trace_was = Obs.Trace.enabled () in
-  let series_was = Obs.Series.enabled () in
-  if trace && not trace_was then begin
-    Obs.Trace.reset ();
-    Obs.Trace.set_enabled true
-  end;
-  if series && not series_was then begin
-    Obs.Series.reset ();
-    Obs.Series.set_enabled true
-  end;
-  Fun.protect
-    ~finally:(fun () ->
-      if stats && not obs_was then Obs.set_enabled false;
-      if trace && not trace_was then Obs.Trace.set_enabled false;
-      if series && not series_was then Obs.Series.set_enabled false)
+  Fun.protect ~finally:(fun () -> if stats && not obs_was then Obs.set_enabled false)
   @@ fun () ->
   let t0 = Obs.now_ns () in
   let p = prepare ~semantics ~method_ parsed in

@@ -68,8 +68,8 @@ type stats = {
     [Partial] is a budget- or interrupt-truncated run: for sampling methods
     the best estimate so far, with [completed]/[requested] sample counts and
     a Wilson 95% interval; for exact methods the answer is [nan] and
-    [completed]/[requested] count chain states explored vs the state
-    budget. *)
+    [completed]/[requested] count states explored (at most the budget: the
+    state that overflowed it is not counted) vs the state budget. *)
 type outcome =
   | Complete
   | Partial of {
@@ -137,8 +137,10 @@ val prepare :
     and the report's ["cone relations"] row reads ["i of n"]; the
     ["rules"], ["facts"], ["linear"] and ["repair-key on base only"] rows
     describe the input as written.  Raises
-    {!Engine_error} when the input lacks a [?-] event, the method does not
-    apply to the semantics, or the method's parameters are out of range
+    {!Engine_error} when the input does not carry exactly one [?-] event
+    (a program with several is answered one event at a time, each on its
+    own cone: [{parsed with event = Some e; events = [e]}]), the method
+    does not apply to the semantics, or the method's parameters are out of range
     ([eps] and [delta] must lie in (0, 1), [burn_in] must be [>= 0],
     [steps] must be [> 0]).  Phases ("slice"/"compile") are recorded
     into the current {!Obs} scope when stats are enabled there. *)
@@ -173,8 +175,6 @@ val run :
   ?on_budget:budget_policy ->
   ?ckpt:Pool.ckpt ->
   ?stats:bool ->
-  ?trace:bool ->
-  ?series:bool ->
   semantics:semantics ->
   method_:method_ ->
   Lang.Parser.parsed ->
@@ -197,13 +197,9 @@ val run :
     sampler's walk to the fixpoint (default 100000 inside
     {!Sample_inflationary}).  [stats] (default false) resets and enables
     {!Obs} for the duration of the run and fills [report.stats]; off, the
-    evaluators execute their uninstrumented closures.  [trace] and [series]
-    (defaults false; [trace] implies [series]) likewise reset and enable
-    {!Obs.Trace}/{!Obs.Series} for the run — unless the caller already
-    enabled them, in which case they are left untouched so recording
-    accumulates across several [run]s (the multi-event CLI path).  The
-    recorded buffers survive the run; flush with {!Obs.Trace.write} /
-    {!Obs.Series.json}.
+    evaluators execute their uninstrumented closures.  {!Obs.Trace} and
+    {!Obs.Series} are the caller's to enable, reset and flush: whatever
+    they record while enabled accumulates across runs.
 
     [guard] (default {!Guard.unlimited}) bounds the run: deadline, state
     budget and sample budget are checked cooperatively at hot-loop
@@ -220,8 +216,8 @@ val run :
     bit-identical to an uninterrupted one with the same seed.  Fault injection is read from the [PROBDB_FAULT] environment
     variable inside {!Pool}.
 
-    Raises {!Engine_error} when the parsed input lacks a [?-] event, the
-    method does not apply (e.g. partitioned inflationary), the method's or
+    Raises {!Engine_error} when the parsed input does not carry exactly one
+    [?-] event, the method does not apply (e.g. partitioned inflationary), the method's or
     a [Fallback] policy's parameters are out of range, a budget runs out
     under [on_budget = Fail], a checkpoint file is invalid, or a
     sampler diverges — {!Pool.Worker_error} (carrying
@@ -233,11 +229,6 @@ val run :
 val pp_report : Format.formatter -> report -> unit
 
 val pp_stats : Format.formatter -> stats -> unit
-
-val collect_stats : engine:string -> elapsed_ms:float -> stats
-(** What [run ~stats:true] puts in [report.stats], read from the current
-    {!Obs} scope: for a caller that drives an evaluator itself (the
-    multi-event exact non-inflationary path of [probdl run]). *)
 
 val json_of_stats : stats -> Obs.Json.t
 

@@ -7,7 +7,7 @@
     internal stationary distribution (Theorem 5.5), which for an
     irreducible chain is its stationary mass of the event states
     (Proposition 5.4).  Every answer is solved on the chain's quotient by
-    event-respecting lumping ({!Markov.Lumping.long_run_masses}), which
+    event-respecting lumping ({!Markov.Lumping.long_run_mass}), which
     preserves the long-run law from the start state and often collapses
     the state space by orders of magnitude before Gaussian elimination. *)
 
@@ -40,23 +40,3 @@ val expected_hitting_time :
 (** Expected number of steps until the event first holds, starting from the
     input state, exactly ({!Markov.Hitting}).  [Some 0] if it already
     holds; [None] when the event is reached with probability < 1. *)
-
-type events_analysis = {
-  chain_states : int;  (** chain states before lumping *)
-  lumped_classes : int;  (** lumped classes the answers were solved on *)
-  masses : (Lang.Event.t * Bigq.Q.t) list;  (** one answer per event, in order *)
-}
-
-val eval_events :
-  ?guard:Guard.t ->
-  kernel:Prob.Interp.t ->
-  events:Lang.Event.t list ->
-  Relational.Database.t ->
-  events_analysis
-(** Evaluate several query events over the SAME kernel and input — the
-    chain is built, lumped by the events' joint indicator vectors and
-    decomposed once; only the final mass summation is per-event.  E.g. the
-    full stationary distribution of a walk in one pass.  Steps via compiled
-    physical plans ({!Prob.Pplan}) built against the initial database's
-    schemas.  Records [Obs] phases "compile", "explore", "lump" and
-    "solve". *)

@@ -146,7 +146,7 @@ let resume_cells ~shards ~sizes ~samples ~key (saved : Guard.Checkpoint.t) =
     Printf.ksprintf (fun m -> raise (Guard.Checkpoint.Error m)) fmt
   in
   if saved.Guard.Checkpoint.key <> key then
-    fail "checkpoint key mismatch: file has %S, this run is %S (different program, seed or parameters)"
+    fail "checkpoint key mismatch: file has %S, this run is %S (different program, event, seed or parameters)"
       saved.Guard.Checkpoint.key key;
   if saved.Guard.Checkpoint.samples <> samples then
     fail "checkpoint sample-count mismatch: file has %d, this run wants %d"

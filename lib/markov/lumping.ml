@@ -157,12 +157,8 @@ let lump ~initial chain =
   let rows = Array.init k (fun c -> signature chain class_of representative.(c)) in
   { quotient = Chain.of_rows (Array.init k Fun.id) rows; class_of; num_classes = k }
 
-let long_run_masses chain ~start ~events =
-  (* Label each state by its event-indicator vector, as a string so that
-     [Hashtbl.hash] reads all of it. *)
-  let tests = Array.of_list events in
-  let initial s = String.init (Array.length tests) (fun i -> if tests.(i) s then '1' else '0') in
-  let lumping = Obs.phase "lump" (fun () -> lump ~initial chain) in
+let long_run_mass chain ~start ~event =
+  let lumping = Obs.phase "lump" (fun () -> lump ~initial:event chain) in
   Obs.phase "solve" @@ fun () ->
   let { quotient; class_of; num_classes } = lumping in
   let representative = Array.make num_classes 0 in
@@ -179,13 +175,13 @@ let long_run_masses chain ~start ~events =
         else Some (p, Stationary.exact_on_component quotient scc.Scc.members.(component)))
       (Absorption.into_closed quotient ~start:class_of.(start))
   in
-  let mass holds =
+  let mass =
     Q.sum
       (List.map
          (fun (p, pi) ->
            Q.mul p
              (Q.sum
-                (List.filter_map (fun (c, pc) -> if holds representative.(c) then Some pc else None) pi)))
+                (List.filter_map (fun (c, pc) -> if event representative.(c) then Some pc else None) pi)))
          laws)
   in
-  (lumping, List.map mass events)
+  (lumping, mass)

@@ -9,7 +9,7 @@
     labelling, lumping can shrink the exponential database-state chains of
     non-inflationary evaluation dramatically before Gaussian elimination;
     every exact long-run answer is solved on the quotient
-    ({!long_run_masses}). *)
+    ({!long_run_mass}). *)
 
 type result = {
   quotient : int Chain.t;  (** states labelled by class id *)
@@ -28,13 +28,11 @@ val lump : initial:(int -> 'l) -> 'a Chain.t -> result
     [0 .. n-1].  Always succeeds; worst case every state is its own
     class. *)
 
-val long_run_masses :
-  'a Chain.t -> start:int -> events:(int -> bool) list -> result * Bigq.Q.t list
-(** [long_run_masses chain ~start ~events] is the long-run average
-    occupation mass of each event's states for the walk started at
-    [start], in the order of [events], with the lumping it was solved on.
-    The chain is lumped by each state's event-indicator vector; the walk
-    from [class_of start] is absorbed into the quotient's closed components
-    ({!Absorption.into_closed}), each weighted by its internal stationary
-    distribution (Theorem 5.5; an irreducible quotient is Proposition 5.4).
+val long_run_mass : 'a Chain.t -> start:int -> event:(int -> bool) -> result * Bigq.Q.t
+(** [long_run_mass chain ~start ~event] is the long-run average occupation
+    mass of [event]'s states for the walk started at [start], with the
+    lumping it was solved on.  The chain is lumped by the event
+    indicator; the walk from [class_of start] is absorbed into the
+    quotient's closed components ({!Absorption.into_closed}), each weighted
+    by its internal stationary distribution (Theorem 5.5; an irreducible quotient is Proposition 5.4).
     Records the ["lump"] and ["solve"] {!Obs} phases. *)

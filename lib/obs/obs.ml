@@ -62,14 +62,26 @@ module Json = struct
       s;
     Buffer.contents b
 
+  (* The C formatter behind [Printf]'s %g, without [Printf]'s format
+     interpretation: a response carries a dozen floats. *)
+  external format_float : string -> float -> string = "caml_format_float"
+
   let rec write b = function
     | Null -> Buffer.add_string b "null"
     | Bool v -> Buffer.add_string b (string_of_bool v)
     | Int i -> Buffer.add_string b (string_of_int i)
     | Float f ->
       (* NaN/inf are not JSON; they should never occur, but emit null rather
-         than an unparseable token if they do. *)
-      if Float.is_finite f then Buffer.add_string b (Printf.sprintf "%.6g" f)
+         than an unparseable token if they do.  Finite floats print with the
+         fewest significant digits (15 to 17) that read back bit-identical. *)
+      if Float.is_finite f then begin
+        let s15 = format_float "%.15g" f in
+        if float_of_string s15 = f then Buffer.add_string b s15
+        else
+          let s16 = format_float "%.16g" f in
+          Buffer.add_string b
+            (if float_of_string s16 = f then s16 else format_float "%.17g" f)
+      end
       else Buffer.add_string b "null"
     | Str s ->
       Buffer.add_char b '"';

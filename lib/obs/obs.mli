@@ -117,7 +117,9 @@ val wilson_interval : hits:int -> total:int -> float * float
 
 (** Minimal JSON emitter for the stats reports ([--stats-json] in [probdl]
     and [probmc]), trace files, series dumps, metrics documents and log
-    lines. *)
+    lines.  A finite [Float] prints with the fewest significant digits
+    (15, 16 or 17) that [float_of_string] reads back bit-identical; NaN and
+    infinities print as [null]. *)
 module Json : sig
   type t =
     | Null

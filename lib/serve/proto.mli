@@ -84,7 +84,8 @@ type envelope = {
     readable, orthogonal to the human-readable ["error"] text. *)
 
 val code_bad_request : string
-(** malformed JSON, unknown op, missing/ill-typed field *)
+(** malformed JSON, unknown op, missing/ill-typed field, or a
+    [query]/[estimate] program with several [?-] events *)
 
 val code_not_found : string
 (** [query] by [name] that was never [load]ed for this tenant *)

@@ -41,9 +41,18 @@ let make_cache ?capacity () = Prob.Pplan.Cache.create ?capacity "plan_cache"
 
 let cache_stats = Prob.Pplan.Cache.stats
 
+exception Bad_request of string
+
 let prepare ?cache spec =
   let build () =
     let parsed = Lang.Parser.parse spec.source in
+    (match parsed.Lang.Parser.events with
+     | _ :: _ :: _ as events ->
+       raise
+         (Bad_request
+            (Printf.sprintf "program has %d ?- events; a query answers one"
+               (List.length events)))
+     | _ -> ());
     Eval.Engine.prepare ~semantics:spec.semantics ~method_:spec.method_ parsed
   in
   match cache with

@@ -37,10 +37,15 @@ val make_cache : ?capacity:int -> unit -> cache
 val cache_stats : cache -> int * int * int
 (** (hits, misses, entries) — see {!Prob.Pplan.Cache.stats}. *)
 
+exception Bad_request of string
+(** The program cannot be answered as one query: it carries several [?-]
+    events. *)
+
 val prepare : ?cache:cache -> spec -> Eval.Engine.prepared * bool
 (** Parse + compile the spec, through [cache] when given.  The boolean is
     true on a cache hit.  Parse/compile exceptions ({!Lang.Parser.Parse_error},
-    {!Eval.Engine.Engine_error}, …) propagate and are never cached. *)
+    {!Eval.Engine.Engine_error}, …) propagate and are never cached; a
+    program with several [?-] events raises {!Bad_request}. *)
 
 val prepare_timed : ?cache:cache -> spec -> Eval.Engine.prepared * bool * int
 (** {!prepare} plus its wall-clock cost in {!Obs.now_ns} nanoseconds

@@ -399,6 +399,8 @@ let run_query t ~tenant ~id ~corr ~corr_seq (q : Proto.query) =
              ("report", Eval.Engine.json_of_report ~tool:"probdbd" report)
            ]
           @ match trace with None -> [] | Some tj -> [ ("trace", tj) ])
+      | exception Request.Bad_request m ->
+        fail ~outcome:Telemetry.Errored ~code:Proto.code_bad_request m
       | exception Eval.Engine.Engine_error m ->
         fail ~outcome:Telemetry.Errored ~code:Proto.code_eval m
       | exception Lang.Parser.Parse_error m ->

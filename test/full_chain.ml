@@ -1,7 +1,7 @@
 (* Test-side references for the lumped long-run solve.  [event_mass] solves
    Prop 5.4 / Thm 5.5 on the full, unlumped chain; [lump_rounds] is the
    round-based partition refinement that re-signs every state each round.
-   [Markov.Lumping.long_run_masses] and [Markov.Lumping.lump] must agree
+   [Markov.Lumping.long_run_mass] and [Markov.Lumping.lump] must agree
    with them exactly. *)
 
 module Q = Bigq.Q

@@ -114,23 +114,6 @@ let prop_lumped_matches_direct =
       | exception Guard.Exhausted _ -> QCheck.assume_fail ()
       | lumped -> Q.equal lumped (Full_chain.query_mass ~guard:(cap ()) q init))
 
-(* Multi-event evaluation is consistent with one-at-a-time evaluation. *)
-let prop_multi_event_consistent =
-  QCheck.Test.make ~name:"eval_events agrees with per-event eval" ~count:15 arb_case (fun seed ->
-      let case = case_of seed in
-      let kernel, init =
-        Lang.Compile.noninflationary_kernel case.Workload.Progen.program case.Workload.Progen.database
-      in
-      let q = Lang.Forever.make ~kernel ~event:case.Workload.Progen.event in
-      match Eval.Exact_noninflationary.eval ~guard:(cap ()) q init with
-      | exception Guard.Exhausted _ -> QCheck.assume_fail ()
-      | direct ->
-        let results =
-          Eval.Exact_noninflationary.eval_events ~guard:(cap ()) ~kernel
-            ~events:[ case.Workload.Progen.event ] init
-        in
-        Q.equal direct (snd (List.hd results.Eval.Exact_noninflationary.masses)))
-
 (* Compiled physical plans are a pure mechanism change: on random programs
    they must match the AST interpreter exactly — same rationals from the
    exact engines, bit-identical fixed-seed trajectories and estimates from
@@ -585,7 +568,6 @@ let () =
             prop_exact_vs_sampled_inflationary;
             prop_exact_vs_time_average_noninflationary;
             prop_lumped_matches_direct;
-            prop_multi_event_consistent;
             prop_plan_exact_inflationary;
             prop_plan_exact_noninflationary;
             prop_plan_sampled_trajectories_identical;

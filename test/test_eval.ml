@@ -406,35 +406,39 @@ let test_hitting_time_unreachable () =
   Alcotest.(check bool) "no event states" true
     (Option.is_none (Exact_noninflationary.expected_hitting_time q init))
 
-let test_eval_events_shared_chain () =
-  (* The full stationary distribution of the walk in one chain build. *)
-  let parsed = parse walk_src in
-  let kernel, init = Compile.noninflationary_kernel parsed.Parser.program walk_db in
-  let events = [ Event.make "C" [ v_str "a" ]; Event.make "C" [ v_str "b" ] ] in
-  let results = (Exact_noninflationary.eval_events ~kernel ~events init).masses in
-  Alcotest.check q_t "pi(a)" (Q.of_ints 1 3) (List.assoc (List.nth events 0) results);
-  Alcotest.check q_t "pi(b)" (Q.of_ints 2 3) (List.assoc (List.nth events 1) results);
-  Alcotest.check q_t "masses sum to 1" Q.one (Q.sum (List.map snd results))
+(* Each ?- event of a program is answered by its own engine run. *)
+let engine_answers src =
+  let parsed = parse src in
+  List.map
+    (fun e ->
+      Option.get
+        (Engine.run ~semantics:Engine.Noninflationary ~method_:Engine.Exact
+           { parsed with Parser.event = Some e; events = [ e ] })
+          .Engine.exact)
+    parsed.Parser.events
 
-let test_eval_events_absorbing () =
-  (* Multi-event over a reducible chain: shares the Thm 5.5 decomposition. *)
-  let db =
-    Database.of_list
-      [ ("C", rel [ "x1" ] [ [ v_str "s" ] ]);
-        ("e",
-         rel [ "x1"; "x2"; "x3" ]
-           [ [ v_str "s"; v_str "l"; v_int 1 ]; [ v_str "s"; v_str "r"; v_int 3 ];
-             [ v_str "l"; v_str "l"; v_int 1 ]; [ v_str "r"; v_str "r"; v_int 1 ]
-           ])
-      ]
+let test_multi_event_shared_chain () =
+  (* The full stationary distribution of the walk, one run per event. *)
+  let results =
+    engine_answers
+      "?C(Y) @W :- C(X), e(X, Y, W).\nC(a).\ne(a, b, 1).\ne(b, a, 1).\ne(b, b, 1).\n\
+       ?- C(a).\n?- C(b)."
   in
-  let parsed = parse "?C(Y) @W :- C(X), e(X, Y, W).\n?- C(l)." in
-  let kernel, init = Compile.noninflationary_kernel parsed.Parser.program db in
-  let events = [ Event.make "C" [ v_str "l" ]; Event.make "C" [ v_str "r" ]; Event.make "C" [ v_str "s" ] ] in
-  let results = (Exact_noninflationary.eval_events ~kernel ~events init).masses in
-  Alcotest.check q_t "left 1/4" (Q.of_ints 1 4) (List.nth results 0 |> snd);
-  Alcotest.check q_t "right 3/4" (Q.of_ints 3 4) (List.nth results 1 |> snd);
-  Alcotest.check q_t "transient 0" Q.zero (List.nth results 2 |> snd)
+  Alcotest.check q_t "pi(a)" (Q.of_ints 1 3) (List.nth results 0);
+  Alcotest.check q_t "pi(b)" (Q.of_ints 2 3) (List.nth results 1);
+  Alcotest.check q_t "masses sum to 1" Q.one (Q.sum results)
+
+let test_multi_event_absorbing () =
+  (* Several events over a reducible chain: each run does its own Thm 5.5
+     decomposition. *)
+  let results =
+    engine_answers
+      "?C(Y) @W :- C(X), e(X, Y, W).\nC(s).\n\
+       e(s, l, 1).\ne(s, r, 3).\ne(l, l, 1).\ne(r, r, 1).\n?- C(l).\n?- C(r).\n?- C(s)."
+  in
+  Alcotest.check q_t "left 1/4" (Q.of_ints 1 4) (List.nth results 0);
+  Alcotest.check q_t "right 3/4" (Q.of_ints 3 4) (List.nth results 1);
+  Alcotest.check q_t "transient 0" Q.zero (List.nth results 2)
 
 let test_parser_multiple_events () =
   let p = parse "e(a).\n?- e(a).\n?- e(b)." in
@@ -788,7 +792,8 @@ let test_engine_lumped_product () =
 let test_engine_every_walker_product () =
   let src = walkers_source [ 3; 3; 4 ] ^ "\nMeet(X) :- C1(X), C2(X), C3(X).\n?- Meet(n0)." in
   let parsed = parse src in
-  let parsed = { parsed with Parser.event = Some (List.nth parsed.Parser.events 1) } in
+  let event = List.nth parsed.Parser.events 1 in
+  let parsed = { parsed with Parser.event = Some event; events = [ event ] } in
   let r = Engine.run ~semantics:Engine.Noninflationary ~method_:Engine.Exact parsed in
   let kernel, init = Engine.noninflationary_kernel parsed in
   let a =
@@ -1147,8 +1152,8 @@ let () =
           Alcotest.test_case "disables partitioning" `Quick test_negation_disables_partitioning
         ] );
       ( "multi-event",
-        [ Alcotest.test_case "shared chain" `Quick test_eval_events_shared_chain;
-          Alcotest.test_case "absorbing decomposition" `Quick test_eval_events_absorbing;
+        [ Alcotest.test_case "shared chain" `Quick test_multi_event_shared_chain;
+          Alcotest.test_case "absorbing decomposition" `Quick test_multi_event_absorbing;
           Alcotest.test_case "parser collects" `Quick test_parser_multiple_events
         ] );
       ( "lumping+hitting",

@@ -631,8 +631,16 @@ let engine_row path ~semantics ?(method_ = Engine.Exact) src =
   { path;
     degrade =
       (fun () ->
-        match (run Engine.Degrade).Engine.outcome with
-        | Engine.Partial { reason; _ } -> Some reason
+        let r = run Engine.Degrade in
+        match r.Engine.outcome with
+        | Engine.Partial { reason; completed; requested; _ } ->
+          (* The state that overflowed the budget is not progress. *)
+          Alcotest.(check (pair int int)) (path ^ ": completed/requested")
+            (tight_budget, tight_budget) (completed, requested);
+          Alcotest.(check (option string)) (path ^ ": states explored")
+            (Some (string_of_int tight_budget))
+            (List.assoc_opt "states explored" r.Engine.diagnostics);
+          Some reason
         | Engine.Complete -> None);
     fallback = Some (fun () -> run (Engine.Fallback { eps = 0.1; delta = 0.1; burn_in = 20 }))
   }
@@ -659,9 +667,6 @@ let budget_rows =
     engine_row "pc-table lineage" ~semantics:Engine.Inflationary line8_src;
     engine_row "pc-table worlds" ~semantics:Engine.Inflationary line8_neg_src;
     engine_row "non-inflationary chain" ~semantics:Engine.Noninflationary two_walkers_src;
-    library_row "eval_events" (fun guard ->
-        let kernel, event, init = two_walkers_query () in
-        ignore (Eval.Exact_noninflationary.eval_events ~guard ~kernel ~events:[ event ] init));
     engine_row "partitioned" ~semantics:Engine.Noninflationary
       ~method_:Engine.Exact_partitioned two_walkers_src;
     library_row "hitting time" (fun guard ->

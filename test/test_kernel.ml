@@ -79,7 +79,7 @@ let eval_kernel ~kernel ~event init =
   in
   let start = Option.get (Markov.Chain.index chain init) in
   let holds i = Event.holds event (Markov.Chain.label chain i) in
-  List.hd (snd (Markov.Lumping.long_run_masses chain ~start ~events:[ holds ]))
+  snd (Markov.Lumping.long_run_mass chain ~start ~event:holds)
 
 let test_eval_kernel_stationary () =
   (* The mixture is a lazy version of the same walk: same uniform

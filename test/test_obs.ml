@@ -261,8 +261,28 @@ let escape_roundtrip =
   QCheck.Test.make ~name:"Json escaping round-trips arbitrary byte strings" ~count:500
     arb_byte_string (fun s -> parse_json (J.to_string (J.Str s)) = J.Str s)
 
-(* Float-free values so round-trip equality is exact (the emitter prints
-   floats with %.6g, which is lossy by design). *)
+(* Floats print with the fewest digits (15 to 17) that read back
+   bit-identical: shortest where 15 suffice, exact always. *)
+let test_float_shortest_roundtrip () =
+  List.iter
+    (fun (f, want) -> Alcotest.(check string) want want (J.to_string (J.Float f)))
+    [ (0.5, "0.5");
+      (0.1, "0.1");
+      (1. /. 12., "0.08333333333333333");
+      (0.1 +. 0.2, "0.30000000000000004");
+      (0.008192, "0.008192");
+      (Float.nan, "null")
+    ]
+
+let float_roundtrip =
+  QCheck.Test.make ~name:"Json floats read back bit-identical" ~count:1000 QCheck.float
+    (fun f ->
+      QCheck.assume (Float.is_finite f);
+      Int64.equal (Int64.bits_of_float (float_of_string (J.to_string (J.Float f))))
+        (Int64.bits_of_float f))
+
+(* Float-free values so round-trip equality is structural: the reference
+   parser may read an integral float back as an integer. *)
 let arb_json =
   let open QCheck.Gen in
   let leaf =
@@ -843,6 +863,9 @@ let () =
       ( "json",
         [ Alcotest.test_case "escape corner cases" `Quick test_escape_corner_cases;
           QCheck_alcotest.to_alcotest escape_roundtrip;
+          Alcotest.test_case "floats print shortest round-trip" `Quick
+            test_float_shortest_roundtrip;
+          QCheck_alcotest.to_alcotest float_roundtrip;
           QCheck_alcotest.to_alcotest json_roundtrip
         ] );
       ( "trace",

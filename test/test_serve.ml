@@ -308,6 +308,63 @@ let test_lumped_method_refused () =
         (J.Str {|unknown method "lumped" (exact|sample|partitioned|time-average)|})
         (get resp "error"))
 
+(* A query answers one event: a program with several ?- events is a bad
+   request for query and estimate alike, as Engine.run refuses it, instead
+   of an answer for the first event only. *)
+let test_several_events_refused () =
+  let source = "e(a). e(b). ?- e(a). ?- e(b)." in
+  (match
+     Eval.Engine.run ~semantics:Eval.Engine.Inflationary ~method_:Eval.Engine.Exact
+       (Lang.Parser.parse source)
+   with
+   | _ -> Alcotest.fail "Engine.run answered a two-event program"
+   | exception Eval.Engine.Engine_error _ -> ());
+  with_server (fun path _t ->
+      let c = Serve.Client.connect_unix ~retry_ms:2000 path in
+      Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
+      List.iter
+        (fun op ->
+          let resp =
+            obj
+              (Serve.Client.rpc_json c
+                 (Serve.Jsonr.parse
+                    (Printf.sprintf {|{"op":%S,"id":"two","tenant":"t1","source":%S}|} op
+                       source)))
+          in
+          Alcotest.check json (op ^ ": refused") (J.Bool false) (get resp "ok");
+          Alcotest.check json (op ^ ": bad_request") (J.Str "bad_request") (get resp "code"))
+        [ "query"; "estimate" ])
+
+(* JSON floats round-trip: an answer of 1/12 (two lazy walkers, on a
+   4-cycle and a 3-cycle, meeting at n0) reaches the client with the very
+   float Engine.run computes, not a 6-digit rendering of it. *)
+let test_float_answer_bit_identical () =
+  let b = Buffer.create 512 in
+  List.iter
+    (fun (w, n) ->
+      Buffer.add_string b (Printf.sprintf "?C%d(Y) @W :- C%d(X), e%d(X, Y, W). C%d(n0). " w w w w);
+      for i = 0 to n - 1 do
+        Buffer.add_string b
+          (Printf.sprintf "e%d(n%d, n%d, 1). e%d(n%d, n%d, 1). " w i ((i + 1) mod n) w i i)
+      done)
+    [ (1, 4); (2, 3) ];
+  Buffer.add_string b "Both() :- C1(n0), C2(n0). ?- Both().";
+  let source = Buffer.contents b in
+  let reference =
+    reference_report ~semantics:Eval.Engine.Noninflationary ~method_:Eval.Engine.Exact source
+  in
+  Alcotest.(check (option string)) "reference is 1/12" (Some "1/12")
+    (Option.map Bigq.Q.to_string reference.Eval.Engine.exact);
+  with_server (fun path _t ->
+      let c = Serve.Client.connect_unix ~retry_ms:2000 path in
+      Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
+      check_answer ~what:"1/12" reference
+        (Serve.Client.rpc_json c
+           (Serve.Jsonr.parse
+              (Printf.sprintf
+                 {|{"op":"query","id":"w","tenant":"t1","semantics":"noninflationary","source":%S}|}
+                 source))))
+
 (* The retired "magic" key is ignored like any unknown key: a query carrying
    it is accepted, shares the plan-cache entry of the same query without it,
    and answers identically. *)
@@ -1654,6 +1711,10 @@ let () =
           Alcotest.test_case "invalid sampling parameters refused" `Quick
             test_invalid_sampling_params;
           Alcotest.test_case "lumped method refused" `Quick test_lumped_method_refused;
+          Alcotest.test_case "several ?- events are a bad request" `Quick
+            test_several_events_refused;
+          Alcotest.test_case "1/12 answer bit-identical to Engine.run" `Quick
+            test_float_answer_bit_identical;
           Alcotest.test_case "retired magic key ignored" `Quick test_magic_key_ignored;
           Alcotest.test_case "cancel an in-flight request" `Quick test_cancel_inflight;
           Alcotest.test_case "per-tenant admission control" `Quick test_admission_control;
