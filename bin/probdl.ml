@@ -79,7 +79,10 @@ let max_steps_arg =
     value
     & opt (some int) None
     & info [ "max-steps" ]
-        ~doc:"Per-sample step cap for the inflationary sampler (default 100000).")
+        ~doc:
+          "Per-sample step cap for the inflationary sampler (default 100000).  It does not \
+           apply to a positive, repair-key-free pc-table program, which samples by unit \
+           propagation over its ground program: that always terminates.")
 
 let deadline_arg =
   Arg.(

@@ -177,7 +177,46 @@ flaky=$(PROBDB_FAULT='flaky:shard=2,after=1' "$PROBDL" $FAULT_ARGS $FAULT_OPTS |
 delayed=$(PROBDB_FAULT='delay:shard=1,ms=1' "$PROBDL" $FAULT_ARGS $FAULT_OPTS | grep '^answer')
 [ "$clean" = "$delayed" ] \
   || { echo "fault delay: delayed run diverged ($delayed vs $clean)" >&2; exit 1; }
-echo "ok: kill is fatal and named, flaky retry is transparent, delay is harmless"
+# The same matrix on a positive pc-table program, which samples on its
+# ground program with per-domain propagation state: a retried shard must
+# replay bit-identically on whatever scratch its domain holds.
+GROUND_ARGS="run examples/programs/uncertain_reach.pdl -m sample"
+status=0
+PROBDB_FAULT='kill:shard=3,after=1' "$PROBDL" $GROUND_ARGS $FAULT_OPTS \
+  > /dev/null 2> "$TRACE_TMP/gkill.err" || status=$?
+[ "$status" -eq 1 ] || { echo "ground fault kill: expected exit 1, got $status" >&2; exit 1; }
+grep -q 'shard 3' "$TRACE_TMP/gkill.err" \
+  || { echo "ground fault kill: stderr does not name shard 3" >&2; exit 1; }
+gclean=$("$PROBDL" $GROUND_ARGS $FAULT_OPTS)
+echo "$gclean" | grep -q '^pc-table sampler: ground' \
+  || { echo "ground fault matrix: uncertain_reach.pdl did not take the ground path" >&2; exit 1; }
+gclean=$(echo "$gclean" | grep '^answer')
+gflaky=$(PROBDB_FAULT='flaky:shard=2,after=1' "$PROBDL" $GROUND_ARGS $FAULT_OPTS | grep '^answer')
+[ "$gclean" = "$gflaky" ] \
+  || { echo "ground fault flaky: retried run diverged ($gflaky vs $gclean)" >&2; exit 1; }
+gdelayed=$(PROBDB_FAULT='delay:shard=1,ms=1' "$PROBDL" $GROUND_ARGS $FAULT_OPTS | grep '^answer')
+[ "$gclean" = "$gdelayed" ] \
+  || { echo "ground fault delay: delayed run diverged ($gdelayed vs $gclean)" >&2; exit 1; }
+echo "ok: kill is fatal and named, flaky retry is transparent, delay is harmless (kernel and ground samplers)"
+
+echo "== ground sampler: domain-count independence =="
+# The non-hierarchical R(x), S(x,y), T(y) query over a k = 10 grid (120
+# flags): exact lineage passes the default state budget there, the ground
+# sampler answers it at once, and -j 1 and -j 2 must print the same answer.
+K="0 1 2 3 4 5 6 7 8 9"
+{
+  for i in $K; do echo "var r$i = { true: 1/2, false: 1/2 }. r(l$i) when r$i = true."; done
+  for i in $K; do echo "var t$i = { true: 1/2, false: 1/2 }. t(m$i) when t$i = true."; done
+  for i in $K; do for j in $K; do
+    echo "var s${i}_$j = { true: 1/2, false: 1/2 }. s(l$i, m$j) when s${i}_$j = true."
+  done; done
+  echo "Q(ok) :- r(X), s(X, Y), t(Y). ?- Q(ok)."
+} > "$TRACE_TMP/grid10.pdl"
+g1=$(timeout 20 "$PROBDL" run "$TRACE_TMP/grid10.pdl" -m sample --seed 5 -j 1 | grep '^answer')
+g2=$(timeout 20 "$PROBDL" run "$TRACE_TMP/grid10.pdl" -m sample --seed 5 -j 2 | grep '^answer')
+[ -n "$g1" ] && [ "$g1" = "$g2" ] \
+  || { echo "grid10: -j 1 and -j 2 answers differ ($g1 vs $g2)" >&2; exit 1; }
+echo "ok: k = 10 grid, ${g1#answer    : } at -j 1 and -j 2"
 
 echo "== budget / degradation smoke =="
 # A sample budget truncates the run: exit 3 and a partial outcome line.

@@ -277,6 +277,44 @@ let prepare ~semantics ~method_ (parsed : Lang.Parser.parsed) =
         ~outcome:(Partial { reason; completed = explored; requested; ci = None })
         (diags @ [ ("states explored", string_of_int explored) ])
   in
+  (* Sampling a pc-table program (Thm 4.3).  The probe draws one world from
+     [env.rng] before the pool splits the stream and compiles the kernel
+     against it: all worlds share schemas, and the probe keeps the kernel's
+     schema and arity errors.  A positive, repair-key-free program is then
+     sampled on its ground program (the predicate that picks exact lineage);
+     any other program runs the kernel to each world's fixpoint. *)
+  let sample_ctable env ?downgrade ~eps ~delta ct =
+    let samples = Sample_inflationary.samples_needed ~eps ~delta in
+    let sampler = Sample_inflationary.ctable_sampler ~program ct in
+    let kernel, init0 = Lang.Compile.inflationary_kernel program (sampler env.rng) in
+    let r, how =
+      if Exact_inflationary.lineage_applies program then begin
+        match
+          Obs.phase "ground" (fun () ->
+              Sample_inflationary.ground ~guard:env.env_guard ~program ~event ct)
+        with
+        | g ->
+          let facts, instances = Sample_inflationary.ground_size g in
+          ( Obs.phase "sample" (fun () ->
+                Sample_inflationary.run_ground ~guard:env.env_guard ?ckpt:env.env_ckpt
+                  ~domains:env.env_domains ~samples env.rng g),
+            Printf.sprintf "ground (%d facts, %d instances)" facts instances )
+        | exception Guard.Exhausted reason ->
+          ({ Pool.hits = 0; completed = 0; requested = samples; stopped = Some reason }, "ground")
+      end
+      else begin
+        let query =
+          Lang.Inflationary.of_forever_unchecked
+            (compile_query init0 (Lang.Forever.make ~kernel ~event))
+        in
+        ( sample_inflationary env ~init_sampler:sampler ~samples env.rng query
+            Relational.Database.empty,
+          "kernel" )
+      end
+    in
+    sample_report env r ?downgrade
+      ~diags:[ ("samples", string_of_int samples); ("pc-table sampler", how) ]
+  in
   let fallback_noninflationary env ~query ~init ~eps ~delta ~burn_in ~downgrade =
     let samples = Sample_inflationary.samples_needed ~eps ~delta in
     let r = sample_noninflationary env env.rng ~burn_in ~samples query init in
@@ -330,39 +368,12 @@ let prepare ~semantics ~method_ (parsed : Lang.Parser.parsed) =
           | exception Guard.Exhausted reason ->
             on_exhausted_exact env reason ~diags:ct_diags
               ~fallback:(fun ~eps ~delta ~burn_in:_ ~downgrade ->
-                let sampler = Sample_inflationary.ctable_sampler ~program ct in
-                let kernel, init0 =
-                  Lang.Compile.inflationary_kernel program (sampler env.rng)
-                in
-                let query =
-                  Lang.Inflationary.of_forever_unchecked
-                    (compile_query init0 (Lang.Forever.make ~kernel ~event))
-                in
-                let samples = Sample_inflationary.samples_needed ~eps ~delta in
-                let r =
-                  sample_inflationary env ~init_sampler:sampler ~samples env.rng query
-                    Relational.Database.empty
-                in
-                sample_report env r ~downgrade ~diags:[ ("samples", string_of_int samples) ])
+                sample_ctable env ~downgrade ~eps ~delta ct)
       end
       | Inflationary, Sampling { eps; delta; _ }, Some ct ->
-        let samples = Sample_inflationary.samples_needed ~eps ~delta in
-        fun env ->
-          let sampler = Sample_inflationary.ctable_sampler ~program ct in
-          (* All worlds of the c-table share schemas, so one world's initial
-             database is a valid schema table for the compiled plans.  The
-             schema probe consumes RNG draws, so compilation happens here,
-             per request, against this request's stream. *)
-          let kernel, init0 = Lang.Compile.inflationary_kernel program (sampler env.rng) in
-          let query =
-            Lang.Inflationary.of_forever_unchecked
-              (compile_query init0 (Lang.Forever.make ~kernel ~event))
-          in
-          let r =
-            sample_inflationary env ~init_sampler:sampler ~samples env.rng query
-              Relational.Database.empty
-          in
-          sample_report env r ~diags:[ ("samples", string_of_int samples) ]
+        (* The schema probe consumes RNG draws, so everything happens per
+           request, against this request's stream. *)
+        fun env -> sample_ctable env ~eps ~delta ct
       | Noninflationary, Exact, _ -> begin
         let kernel, init = noninflationary_kernel parsed in
         let query = compile_query init (Lang.Forever.make ~kernel ~event) in

@@ -187,7 +187,13 @@ val run :
     reports ["pc-table method"] instead: ["lineage"] when the program has
     no repair-key rule and no negated atom (one annotated fixpoint,
     {!Exact_inflationary.eval_ctable}, with the event diagram's size under
-    ["lineage nodes"]), ["worlds"] otherwise.  Sampling methods run on {!Pool.run_samples}:
+    ["lineage nodes"]), ["worlds"] otherwise.  Inflationary sampling over a
+    pc-table reports ["pc-table sampler"]: ["ground (F facts, I instances)"]
+    for the same programs lineage applies to (the program is grounded once
+    on the max world and each sample is unit propagation,
+    {!Sample_inflationary.run_ground}), ["kernel"] otherwise (each sample
+    steps the kernel to its world's fixpoint).  Both give the same
+    estimate for a fixed seed.  Sampling methods run on {!Pool.run_samples}:
     [domains] (default 1) is how many OCaml domains the shards spread
     over, at most {!Pool.available}.  For a fixed [seed] the estimate is
     the same at every domain count, because the shards and their RNG
@@ -195,7 +201,8 @@ val run :
 
     [max_steps] bounds the inflationary
     sampler's walk to the fixpoint (default 100000 inside
-    {!Sample_inflationary}).  [stats] (default false) resets and enables
+    {!Sample_inflationary}); the ground pc-table sampler takes no kernel
+    steps and ignores it.  [stats] (default false) resets and enables
     {!Obs} for the duration of the run and fills [report.stats]; off, the
     evaluators execute their uninstrumented closures.  {!Obs.Trace} and
     {!Obs.Series} are the caller's to enable, reset and flush: whatever

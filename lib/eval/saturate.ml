@@ -67,27 +67,31 @@ let get_index rel ~arity cols =
     rel.indexes <- ix :: rel.indexes;
     ix
 
-(* Record [ann] as one more derivation of [tuple]; the fact joins this
-   round's change list when it is new or its annotation grew. *)
+(* A fact joins this round's change list when it is new or its annotation
+   grew. *)
+let mark ~round rel f =
+  if f.stamp <> round then begin
+    f.stamp <- round;
+    rel.changed <- f :: rel.changed
+  end
+
+let insert ~round rel tuple ann =
+  let f = { tuple; ann; stamp = -1 } in
+  Tuple_tbl.add rel.facts tuple f;
+  rel.all <- f :: rel.all;
+  List.iter (fun ix -> index_add ix f) rel.indexes;
+  mark ~round rel f;
+  f
+
+(* Record [ann] as one more derivation of [tuple]. *)
 let add alg ~round rel tuple ann =
-  let mark f =
-    if f.stamp <> round then begin
-      f.stamp <- round;
-      rel.changed <- f :: rel.changed
-    end
-  in
   match Tuple_tbl.find_opt rel.facts tuple with
-  | None ->
-    let f = { tuple; ann; stamp = -1 } in
-    Tuple_tbl.add rel.facts tuple f;
-    rel.all <- f :: rel.all;
-    List.iter (fun ix -> index_add ix f) rel.indexes;
-    mark f
+  | None -> ignore (insert ~round rel tuple ann)
   | Some f ->
     let merged = alg.disj f.ann ann in
     if not (alg.equal merged f.ann) then begin
       f.ann <- merged;
-      mark f
+      mark ~round rel f
     end
 
 (* --- rule plans ----------------------------------------------------------- *)
@@ -216,14 +220,16 @@ let holds env (cmp, a, b) =
   | Datalog.Gt -> d > 0
   | Datalog.Ge -> d >= 0
 
-let fire alg ~round p candidates =
+(* Fire one plan: each match of its body folds the matched facts into an
+   accumulator with [conj] (from [one]) and, when the guards hold, hands
+   the head tuple and the accumulator to [emit]. *)
+let fire ~one ~conj ~emit p candidates =
   let env = Array.make p.slots (Value.Int 0) in
-  let emit ann =
-    if List.for_all (holds env) p.guards then
-      add alg ~round p.head_rel (Array.map (value env) p.head) ann
+  let emit acc =
+    if List.for_all (holds env) p.guards then emit p.head_rel (Array.map (value env) p.head) acc
   in
-  let rec go k ann =
-    if k = Array.length p.rest then emit ann
+  let rec go k acc =
+    if k = Array.length p.rest then emit acc
     else begin
       let s = p.rest.(k) in
       let facts =
@@ -232,15 +238,16 @@ let fire alg ~round p candidates =
         | Some (ix, key) ->
           Option.value ~default:[] (Tuple_tbl.find_opt ix.buckets (Array.map (value env) key))
       in
-      List.iter (fun f -> if matches env s f.tuple then go (k + 1) (alg.conj ann f.ann)) facts
+      List.iter (fun f -> if matches env s f.tuple then go (k + 1) (conj acc f)) facts
     end
   in
   match p.first with
-  | None -> go 0 alg.one
-  | Some s ->
-    List.iter (fun f -> if matches env s f.tuple then go 0 (alg.conj alg.one f.ann)) candidates
+  | None -> go 0 one
+  | Some s -> List.iter (fun f -> if matches env s f.tuple then go 0 (conj one f)) candidates
 
-let run ?(poll = ignore) alg program base =
+(* The semi-naive loop over [fire p candidates ~round]; [base] inserts the
+   round-0 facts. *)
+let saturate ~poll ~fire program ~base_preds ~base =
   let names = ref [] in
   let by_name = Hashtbl.create 16 in
   let mention name =
@@ -252,7 +259,7 @@ let run ?(poll = ignore) alg program base =
       names := r :: !names
     end
   in
-  List.iter (fun (name, _, _) -> mention name) base;
+  List.iter mention base_preds;
   List.iter
     (fun (r : Datalog.rule) ->
       List.iter (fun (a : Datalog.atom) -> mention a.Datalog.pred) r.Datalog.body;
@@ -260,8 +267,8 @@ let run ?(poll = ignore) alg program base =
     program;
   let t = { rels = List.rev !names; by_name; rounds = 0 } in
   let plans = List.concat_map (compile_rule t) program in
-  List.iter (fun (name, tuple, ann) -> add alg ~round:0 (rel_of t name) tuple ann) base;
-  List.iter (fun p -> if Option.is_none p.first then fire alg ~round:0 p []) plans;
+  base t;
+  List.iter (fun p -> if Option.is_none p.first then fire ~round:0 p []) plans;
   let rec loop round =
     let live = ref false in
     List.iter
@@ -276,7 +283,7 @@ let run ?(poll = ignore) alg program base =
       List.iter
         (fun p ->
           match p.first with
-          | Some s when not (List.is_empty s.srel.delta) -> fire alg ~round p s.srel.delta
+          | Some s when not (List.is_empty s.srel.delta) -> fire ~round p s.srel.delta
           | Some _ | None -> ())
         plans;
       loop (round + 1)
@@ -284,6 +291,58 @@ let run ?(poll = ignore) alg program base =
   in
   loop 1;
   t
+
+let run ?(poll = ignore) alg program base =
+  let fire ~round =
+    fire ~one:alg.one ~conj:(fun ann f -> alg.conj ann f.ann) ~emit:(add alg ~round)
+  in
+  saturate ~poll ~fire program
+    ~base_preds:(List.map (fun (name, _, _) -> name) base)
+    ~base:(fun t ->
+      List.iter (fun (name, tuple, ann) -> add alg ~round:0 (rel_of t name) tuple ann) base)
+
+(* --- grounding ------------------------------------------------------------ *)
+
+type ground = {
+  model : int t;
+  num_facts : int;
+  instances : (int * int array) list;
+}
+
+(* Saturation in which a fact's annotation is its id, fixed when the fact
+   is first derived, so every fact enters exactly one change list.  A rule
+   instance is found at the latest when its last body fact is in the
+   change list, and may be found more than once (one plan per body atom),
+   hence the dedup. *)
+let ground ?(poll = ignore) program base =
+  let next = ref 0 in
+  let seen = Hashtbl.create 64 in
+  let instances = ref [] in
+  let intern ~round rel tuple =
+    match Tuple_tbl.find_opt rel.facts tuple with
+    | Some f -> f.ann
+    | None ->
+      let id = !next in
+      incr next;
+      ignore (insert ~round rel tuple id);
+      id
+  in
+  let fire ~round =
+    fire ~one:[] ~conj:(fun ids f -> f.ann :: ids) ~emit:(fun rel tuple ids ->
+        let head = intern ~round rel tuple in
+        let body = Array.of_list (List.sort_uniq Int.compare ids) in
+        (* An instance whose head is in its body never derives anything. *)
+        if (not (Array.mem head body)) && not (Hashtbl.mem seen (head, body)) then begin
+          Hashtbl.add seen (head, body) ();
+          instances := (head, body) :: !instances
+        end)
+  in
+  let model =
+    saturate ~poll ~fire program
+      ~base_preds:(List.map fst base)
+      ~base:(fun t -> List.iter (fun (name, tuple) -> ignore (intern ~round:0 (rel_of t name) tuple)) base)
+  in
+  { model; num_facts = !next; instances = List.rev !instances }
 
 let find t name tuple =
   match Hashtbl.find_opt t.by_name name with

@@ -43,6 +43,25 @@ val fold : (string -> Relational.Tuple.t -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
     predicates first, then rule order), tuples in {!Relational.Tuple.compare}
     order within a predicate. *)
 
+type ground = {
+  model : int t;  (** every fact, annotated with its id in [0, num_facts) *)
+  num_facts : int;
+  instances : (int * int array) list;
+      (** the rule firings: head fact id and the distinct body fact ids
+          (ascending; empty for an empty-bodied rule), each firing once,
+          in order of discovery *)
+}
+(** A program grounded on a set of facts. *)
+
+val ground :
+  ?poll:(unit -> unit) -> Lang.Datalog.program -> (string * Relational.Tuple.t) list -> ground
+(** [ground program base] saturates [program] from the unannotated [base]
+    facts and records how each fact was derived.  For a positive program
+    the least model of any subset of [base] is then what unit propagation
+    over [instances] derives from that subset.  An instance whose head is
+    among its body facts is left out: it derives nothing new.  [poll] runs
+    once per round, as in {!run}. *)
+
 val rounds : 'a t -> int
 (** Semi-naive rounds run, the round that fires empty-bodied rules
     excluded. *)

@@ -95,12 +95,99 @@ let valuation_prob t theta =
       Q.mul acc p)
     Q.one t.vars
 
+(* --- compiled sampling ---------------------------------------------------- *)
+
+(* Per variable, the support [Dist.make] keeps (ascending, zero weights
+   dropped) with [Dist.sample]'s running float sums: [bounds.(i)] is the
+   sum of the first [i + 1] probabilities, added in the same order.  A draw
+   takes one uniform float and the first value whose bound exceeds it; the
+   last value needs no bound, as in [Dist.sample]. *)
+type table = {
+  values : Value.t array;
+  bounds : float array;
+}
+
+type compiled = {
+  draws : table array;  (** in declaration order *)
+  positions : (string, int) Hashtbl.t;
+}
+
+let compile t =
+  let table v =
+    let support = Dist.support (Dist.make ~compare:Value.compare v.domain) in
+    let acc = ref 0.0 in
+    { values = Array.of_list (List.map fst support);
+      bounds =
+        Array.of_list
+          (List.map
+             (fun (_, p) ->
+               acc := !acc +. Q.to_float p;
+               !acc)
+             support)
+    }
+  in
+  let positions = Hashtbl.create 16 in
+  List.iteri (fun i v -> Hashtbl.replace positions v.vname i) t.vars;
+  { draws = Array.of_list (List.map table t.vars); positions }
+
+let pick rng tbl =
+  let u = Random.State.float rng 1.0 in
+  let last = Array.length tbl.values - 1 in
+  let i = ref 0 in
+  while !i < last && not (u < tbl.bounds.(!i)) do
+    incr i
+  done;
+  tbl.values.(!i)
+
+let draw rng c =
+  (* One draw per variable, in declaration order. *)
+  let n = Array.length c.draws in
+  if n = 0 then [||]
+  else begin
+    let theta = Array.make n (pick rng c.draws.(0)) in
+    for i = 1 to n - 1 do
+      theta.(i) <- pick rng c.draws.(i)
+    done;
+    theta
+  end
+
+let compile_cond c cond =
+  let term = function
+    | TVar v -> (
+      match Hashtbl.find_opt c.positions v with
+      | Some i -> Either.Left i
+      | None -> err "unbound variable %s in condition" v)
+    | TLit x -> Either.Right x
+  in
+  let eq a b : Value.t array -> bool =
+    match (term a, term b) with
+    | Left i, Left j -> fun theta -> Value.equal theta.(i) theta.(j)
+    | Left i, Right x | Right x, Left i -> fun theta -> Value.equal theta.(i) x
+    | Right x, Right y ->
+      let r = Value.equal x y in
+      fun _ -> r
+  in
+  let rec go = function
+    | CTrue -> fun _ -> true
+    | CEq (a, b) -> eq a b
+    | CNeq (a, b) ->
+      let f = eq a b in
+      fun theta -> not (f theta)
+    | CAnd (a, b) ->
+      let f = go a and g = go b in
+      fun theta -> f theta && g theta
+    | COr (a, b) ->
+      let f = go a and g = go b in
+      fun theta -> f theta || g theta
+    | CNot a ->
+      let f = go a in
+      fun theta -> not (f theta)
+  in
+  go cond
+
 let sample_valuation rng t =
-  List.map
-    (fun v ->
-      let d = Dist.make ~compare:Value.compare v.domain in
-      (v.vname, Dist.sample rng d))
-    t.vars
+  let theta = draw rng (compile t) in
+  List.mapi (fun i v -> (v.vname, theta.(i))) t.vars
 
 let eval_term theta = function
   | TVar v -> (

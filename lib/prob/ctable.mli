@@ -60,8 +60,34 @@ val valuations : t -> valuation Seq.t
 (** All valuations, lazily (their count is the product of domain sizes). *)
 
 val valuation_prob : t -> valuation -> Q.t
+
 val sample_valuation : Random.State.t -> t -> valuation
+(** One {!draw} from [compile t], named. *)
+
 val eval_cond : valuation -> cond -> bool
+
+(** {2 Compiled sampling}
+
+    For drawing many valuations of one c-table: each variable's
+    distribution becomes a float table once, and a valuation is an array
+    indexed by the variable's position in {!vars}. *)
+
+type compiled
+
+val compile : t -> compiled
+
+val draw : Random.State.t -> compiled -> Value.t array
+(** A fresh valuation, by variable position.  Each variable takes one
+    [Random.State.float] draw, in declaration order, and the value
+    [Dist.sample] would pick for that draw from
+    [Dist.make ~compare:Value.compare v.domain]: same support, same float
+    sums, same last-value rule.  A fixed seed therefore gives the
+    valuation {!sample_valuation} gives. *)
+
+val compile_cond : compiled -> cond -> Value.t array -> bool
+(** [compile_cond c cond] decides [cond] on {!draw}'s valuations, as
+    {!eval_cond} decides it on the named one.  Raises {!Ctable_error} on a
+    variable the c-table does not declare. *)
 
 val instantiate : t -> valuation -> Relational.Database.t
 (** The world selected by a valuation: tuples whose conditions hold. *)

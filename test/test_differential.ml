@@ -309,6 +309,59 @@ let prop_lineage_matches_worlds =
         (Eval.Exact_inflationary.eval_ctable ~program ~event ct)
         (by_enumeration program event ct))
 
+(* The engine's pc-table sampler against the kernel sampler on the same
+   sliced input and seed: the probe's draw, then one kernel run per world
+   on the pool.  Positive, repair-key-free cases take the ground path, the
+   others the kernel path; either way the estimate is bit-identical. *)
+let prop_ground_sampler_matches_kernel =
+  QCheck.Test.make ~name:"pc-tables: engine sampler = kernel sampler, bit for bit" ~count:40
+    arb_case (fun seed ->
+      let case, ct = pctable_of_case seed in
+      let event = case.Workload.Progen.event in
+      let parsed =
+        { Lang.Parser.program = case.Workload.Progen.program; facts = []; vars = Ctable.vars ct;
+          cond_facts =
+            List.concat_map
+              (fun (name, _, rows) ->
+                List.map
+                  (fun r -> (name, Relational.Tuple.to_list r.Ctable.tuple, r.Ctable.cond))
+                  rows)
+              (Ctable.tables ct);
+          event = Some event; events = [ event ] }
+      in
+      let sliced = (Lang.Slice.slice ~roots:[ event.Lang.Event.relation ] parsed).Lang.Slice.parsed in
+      let program = sliced.Lang.Parser.program in
+      match Lang.Parser.ctable_of sliced with
+      | None -> QCheck.assume_fail ()
+      | Some sct ->
+        let eps = 0.1 and delta = 0.1 in
+        let samples = Eval.Sample_inflationary.samples_needed ~eps ~delta in
+        let ground = Eval.Exact_inflationary.lineage_applies program in
+        List.for_all
+          (fun domains ->
+            let r =
+              Eval.Engine.run ~seed ~domains ~semantics:Eval.Engine.Inflationary
+                ~method_:(Eval.Engine.Sampling { eps; delta; burn_in = 0 }) parsed
+            in
+            let rng = Random.State.make [| seed |] in
+            let sampler = Eval.Sample_inflationary.ctable_sampler ~program sct in
+            let kernel, init0 = Lang.Compile.inflationary_kernel program (sampler rng) in
+            let q =
+              Lang.Inflationary.of_forever_unchecked
+                (Lang.Forever.compile ~schema_of:(Lang.Compile.schema_of_database init0)
+                   (Lang.Forever.make ~kernel ~event))
+            in
+            let k =
+              Eval.Sample_inflationary.run_samples ~init_sampler:sampler ~domains ~samples rng q
+                Database.empty
+            in
+            let how = List.assoc "pc-table sampler" r.Eval.Engine.diagnostics in
+            Int64.equal
+              (Int64.bits_of_float r.Eval.Engine.probability)
+              (Int64.bits_of_float (float_of_int k.Eval.Pool.hits /. float_of_int samples))
+            && Bool.equal ground (String.starts_with ~prefix:"ground" how))
+          [ 1; 2 ])
+
 (* The non-hierarchical query R(x), S(x,y), T(y) over a 3x3 grid of
    independent tuples, each present with probability 1/2: its lineage is
    not read-once.  The reference counts the 2^15 valuations directly. *)
@@ -575,6 +628,7 @@ let () =
             prop_seminaive_matches_naive;
             prop_engine_matches_direct;
             prop_lineage_matches_worlds;
+            prop_ground_sampler_matches_kernel;
             prop_slice_certain;
             prop_slice_pctable;
             prop_partitioned_matches_exact

@@ -216,6 +216,40 @@ let test_ctable_sample_valuation () =
   let f = float_of_int !hits /. float_of_int n in
   Alcotest.(check bool) "y true freq near 1/4" true (abs_float (f -. 0.25) < 0.02)
 
+(* The compiled drawer against [Dist.sample] on twin streams: a value of
+   weight zero, a three-valued integer domain and a one-valued domain. *)
+let test_ctable_draw_matches_dist () =
+  let vars =
+    [ { Ctable.vname = "z";
+        domain = [ (v_str "a", Q.half); (v_str "b", Q.zero); (v_str "c", Q.half) ] };
+      { Ctable.vname = "w";
+        domain = [ (v_int 3, Q.of_ints 1 6); (v_int 1, Q.half); (v_int 2, Q.of_ints 1 3) ] };
+      { Ctable.vname = "o"; domain = [ (Value.Bool true, Q.one) ] };
+      Ctable.flag ~p:(Q.of_ints 1 3) "f"
+    ]
+  in
+  let ct = Ctable.make ~vars ~tables:[] in
+  let compiled = Ctable.compile ct in
+  let dists = List.map (fun v -> Dist.make ~compare:Value.compare v.Ctable.domain) vars in
+  let cond =
+    Ctable.COr
+      ( Ctable.CAnd
+          ( Ctable.CEq (Ctable.TVar "z", Ctable.TLit (v_str "c")),
+            Ctable.CNeq (Ctable.TVar "w", Ctable.TLit (v_int 2)) ),
+        Ctable.CNot (Ctable.CEq (Ctable.TVar "f", Ctable.TVar "o")) )
+  in
+  let holds = Ctable.compile_cond compiled cond in
+  let a = Random.State.make [| 11 |] and b = Random.State.make [| 11 |] in
+  for i = 1 to 10_000 do
+    let theta = Ctable.draw a compiled in
+    let expected = List.map (fun d -> Dist.sample b d) dists in
+    if not (List.equal Value.equal (Array.to_list theta) expected) then
+      Alcotest.failf "draw %d differs from Dist.sample" i;
+    if Value.equal theta.(0) (v_str "b") then Alcotest.fail "drew a zero-weight value";
+    let named = List.map2 (fun v x -> (v.Ctable.vname, x)) vars expected in
+    if holds theta <> Ctable.eval_cond named cond then Alcotest.failf "condition differs at %d" i
+  done
+
 let test_ctable_certain () =
   let db = Database.of_list [ ("R", rel [ "A" ] [ [ v_int 1 ] ]) ] in
   let worlds = Ctable.worlds (Ctable.certain db) in
@@ -601,6 +635,7 @@ let () =
           Alcotest.test_case "validation" `Quick test_ctable_validation;
           Alcotest.test_case "repeated value" `Quick test_ctable_repeated_value;
           Alcotest.test_case "sample valuation" `Slow test_ctable_sample_valuation;
+          Alcotest.test_case "compiled draw = Dist.sample" `Quick test_ctable_draw_matches_dist;
           Alcotest.test_case "certain" `Quick test_ctable_certain
         ] );
       ( "palgebra",
