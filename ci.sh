@@ -197,7 +197,32 @@ gflaky=$(PROBDB_FAULT='flaky:shard=2,after=1' "$PROBDL" $GROUND_ARGS $FAULT_OPTS
 gdelayed=$(PROBDB_FAULT='delay:shard=1,ms=1' "$PROBDL" $GROUND_ARGS $FAULT_OPTS | grep '^answer')
 [ "$gclean" = "$gdelayed" ] \
   || { echo "ground fault delay: delayed run diverged ($gdelayed vs $gclean)" >&2; exit 1; }
-echo "ok: kill is fatal and named, flaky retry is transparent, delay is harmless (kernel and ground samplers)"
+# And on a non-inflationary walk, which steps through a per-domain memo of
+# each state's draws: a retried shard reuses its domain's memo and must
+# still replay bit-identically, and -j 1 must print the -j 4 answer.
+WALK_ARGS="run examples/programs/reachability.pdl -s noninflationary -m sample"
+status=0
+PROBDB_FAULT='kill:shard=3,after=1' "$PROBDL" $WALK_ARGS $FAULT_OPTS \
+  > /dev/null 2> "$TRACE_TMP/wkill.err" || status=$?
+[ "$status" -eq 1 ] || { echo "walk fault kill: expected exit 1, got $status" >&2; exit 1; }
+grep -q 'shard 3' "$TRACE_TMP/wkill.err" \
+  || { echo "walk fault kill: stderr does not name shard 3" >&2; exit 1; }
+wclean=$("$PROBDL" $WALK_ARGS $FAULT_OPTS)
+echo "$wclean" | grep -q '^stepper   : memo' \
+  || { echo "walk fault matrix: reachability.pdl did not step through the memo" >&2; exit 1; }
+wclean=$(echo "$wclean" | grep '^answer')
+wflaky=$(PROBDB_FAULT='flaky:shard=2,after=1' "$PROBDL" $WALK_ARGS $FAULT_OPTS | grep '^answer')
+[ "$wclean" = "$wflaky" ] \
+  || { echo "walk fault flaky: retried run diverged ($wflaky vs $wclean)" >&2; exit 1; }
+wdelayed=$(PROBDB_FAULT='delay:shard=1,ms=1' "$PROBDL" $WALK_ARGS $FAULT_OPTS | grep '^answer')
+[ "$wclean" = "$wdelayed" ] \
+  || { echo "walk fault delay: delayed run diverged ($wdelayed vs $wclean)" >&2; exit 1; }
+WALK_OPTS=${FAULT_OPTS% -j 4}
+wone=$("$PROBDL" $WALK_ARGS $WALK_OPTS -j 1 | grep '^answer')
+wtwo=$("$PROBDL" $WALK_ARGS $WALK_OPTS -j 2 | grep '^answer')
+[ "$wclean" = "$wone" ] && [ "$wone" = "$wtwo" ] \
+  || { echo "walk: -j 1, -j 2 and -j 4 answers differ ($wone, $wtwo, $wclean)" >&2; exit 1; }
+echo "ok: kill is fatal and named, flaky retry is transparent, delay is harmless (kernel, ground and memo samplers; walk answers equal at -j 1, 2, 4)"
 
 echo "== ground sampler: domain-count independence =="
 # The non-hierarchical R(x), S(x,y), T(y) query over a k = 10 grid (120
@@ -262,9 +287,11 @@ echo "ok: partial=3, fail-policy=1, fallback downgrades to sampling, partitioned
 
 echo "== checkpoint / interrupt / resume smoke =="
 # SIGINT mid-run must exit 3 and leave a checkpoint from which --resume
-# reproduces the uninterrupted answer bit-for-bit.
+# reproduces the uninterrupted answer bit-for-bit.  The run must outlast
+# the one-second sleep by a margin: the memoised walk takes a few seconds
+# at this burn-in.
 CKPT_ARGS="run examples/programs/reachability.pdl -s noninflationary -m sample"
-CKPT_OPTS="--burn-in 100 --eps 0.02 --delta 0.02 --seed 7 -j 4"
+CKPT_OPTS="--burn-in 20000 --eps 0.02 --delta 0.02 --seed 7 -j 4"
 ref=$("$PROBDL" $CKPT_ARGS $CKPT_OPTS | grep '^answer')
 "$PROBDL" $CKPT_ARGS $CKPT_OPTS --checkpoint "$TRACE_TMP/ci.ckpt" \
   > "$TRACE_TMP/int.out" 2>&1 &

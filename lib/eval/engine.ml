@@ -283,7 +283,7 @@ let prepare ~semantics ~method_ (parsed : Lang.Parser.parsed) =
      schema and arity errors.  A positive, repair-key-free program is then
      sampled on its ground program (the predicate that picks exact lineage);
      any other program runs the kernel to each world's fixpoint. *)
-  let sample_ctable env ?downgrade ~eps ~delta ct =
+  let sample_ctable env ?downgrade ?(diags = []) ~eps ~delta ct =
     let samples = Sample_inflationary.samples_needed ~eps ~delta in
     let sampler = Sample_inflationary.ctable_sampler ~program ct in
     let kernel, init0 = Lang.Compile.inflationary_kernel program (sampler env.rng) in
@@ -313,13 +313,18 @@ let prepare ~semantics ~method_ (parsed : Lang.Parser.parsed) =
       end
     in
     sample_report env r ?downgrade
-      ~diags:[ ("samples", string_of_int samples); ("pc-table sampler", how) ]
+      ~diags:(diags @ [ ("samples", string_of_int samples); ("pc-table sampler", how) ])
+  in
+  let walk_diags ~samples ~burn_in query =
+    [ ("samples", string_of_int samples);
+      ("burn-in", string_of_int burn_in);
+      ("stepper", Sample_noninflationary.stepper query)
+    ]
   in
   let fallback_noninflationary env ~query ~init ~eps ~delta ~burn_in ~downgrade =
     let samples = Sample_inflationary.samples_needed ~eps ~delta in
     let r = sample_noninflationary env env.rng ~burn_in ~samples query init in
-    sample_report env r ~downgrade
-      ~diags:[ ("samples", string_of_int samples); ("burn-in", string_of_int burn_in) ]
+    sample_report env r ~downgrade ~diags:(walk_diags ~samples ~burn_in query)
   in
   (* Each branch does its compile-time work NOW (kernel compilation, plan
      compilation, semi-naive installation — all seed-independent) and
@@ -341,7 +346,10 @@ let prepare ~semantics ~method_ (parsed : Lang.Parser.parsed) =
                 Sample_noninflationary.eval_time_average env.rng ~burn_in ~steps query init)
           in
           mk ~probability:p
-            [ ("steps", string_of_int steps); ("burn-in", string_of_int burn_in) ]
+            [ ("steps", string_of_int steps);
+              ("burn-in", string_of_int burn_in);
+              ("stepper", Sample_noninflationary.stepper query)
+            ]
       | Inflationary, Exact, Some ct -> begin
         (* pc-table input: choices are made once (Section 3.3), so the
            answer is the world-weighted average — by one lineage fixpoint
@@ -368,7 +376,7 @@ let prepare ~semantics ~method_ (parsed : Lang.Parser.parsed) =
           | exception Guard.Exhausted reason ->
             on_exhausted_exact env reason ~diags:ct_diags
               ~fallback:(fun ~eps ~delta ~burn_in:_ ~downgrade ->
-                sample_ctable env ~downgrade ~eps ~delta ct)
+                sample_ctable env ~downgrade ~diags:ct_diags ~eps ~delta ct)
       end
       | Inflationary, Sampling { eps; delta; _ }, Some ct ->
         (* The schema probe consumes RNG draws, so everything happens per
@@ -399,8 +407,7 @@ let prepare ~semantics ~method_ (parsed : Lang.Parser.parsed) =
         let samples = Sample_inflationary.samples_needed ~eps ~delta in
         fun env ->
           let r = sample_noninflationary env env.rng ~burn_in ~samples query init in
-          sample_report env r
-            ~diags:[ ("samples", string_of_int samples); ("burn-in", string_of_int burn_in) ]
+          sample_report env r ~diags:(walk_diags ~samples ~burn_in query)
       | _, Exact_partitioned, Some _ ->
         err "partitioned evaluation does not support pc-table inputs"
       | Inflationary, Exact, None -> begin

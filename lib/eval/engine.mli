@@ -193,7 +193,12 @@ val run :
     on the max world and each sample is unit propagation,
     {!Sample_inflationary.run_ground}), ["kernel"] otherwise (each sample
     steps the kernel to its world's fixpoint).  Both give the same
-    estimate for a fixed seed.  Sampling methods run on {!Pool.run_samples}:
+    estimate for a fixed seed.  Non-inflationary sampling and
+    time-average report ["stepper"]: ["memo"] when the walk replays each
+    state's recorded draws ({!Sample_noninflationary}), ["plan"] when it
+    runs the kernel every step; the same estimate either way, and the
+    row is also on a [Fallback] from an exhausted chain.  Sampling
+    methods run on {!Pool.run_samples}:
     [domains] (default 1) is how many OCaml domains the shards spread
     over, at most {!Pool.available}.  For a fixed [seed] the estimate is
     the same at every domain count, because the shards and their RNG

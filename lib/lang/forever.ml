@@ -32,6 +32,14 @@ let step_sampled rng q db =
   | Some p -> Prob.Pplan.apply_sampled rng p db
   | None -> Prob.Interp.apply_sampled rng q.kernel db
 
+let static_draws q =
+  match q.plan with Some p -> Prob.Pplan.static_draws p | None -> false
+
+let step_drawn draw q db =
+  match q.plan with
+  | Some p -> Prob.Pplan.apply_drawn draw p db
+  | None -> invalid_arg "Forever.step_drawn: the query is not compiled"
+
 let is_inflationary_at q db =
   List.for_all
     (fun (db', _) -> Relational.Database.subsumes db' db)

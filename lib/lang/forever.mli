@@ -57,6 +57,18 @@ val step : t -> Relational.Database.t -> Relational.Database.t Prob.Dist.t
 
 val step_sampled : Random.State.t -> t -> Relational.Database.t -> Relational.Database.t
 
+val static_draws : t -> bool
+(** The query is compiled and its kernel's draws depend on the state alone
+    ({!Prob.Pplan.static_draws}): the precondition for {!step_drawn}
+    replays. *)
+
+val step_drawn :
+  Prob.Repair_key.draw -> t -> Relational.Database.t -> Relational.Database.t
+(** One step of the compiled kernel, each repair-key group's tuple picked
+    by the draw function, in the order {!step_sampled} draws them;
+    [step_drawn (Dist.sample rng)] is [step_sampled rng].  Raises
+    [Invalid_argument] on an interpreted query. *)
+
 val is_inflationary_at : t -> Relational.Database.t -> bool
 (** Whether every world of [Q(A)] contains [A] — Definition 3.4 checked at
     one state.  (The definition quantifies over all databases; engines use

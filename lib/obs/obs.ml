@@ -378,8 +378,7 @@ end
 let enabled () = Atomic.get (current_scope ()).on
 let set_enabled b = Atomic.set (current_scope ()).on b
 
-let counter name =
-  let sc = current_scope () in
+let counter_in sc name =
   match SMap.find_opt name (Atomic.get sc.registry) with
   | Some c -> c
   | None ->
@@ -391,6 +390,8 @@ let counter name =
           sc.next_id <- sc.next_id + 1;
           Atomic.set sc.registry (SMap.add name c (Atomic.get sc.registry));
           c)
+
+let counter name = counter_in (current_scope ()) name
 
 (* --- lanes -----------------------------------------------------------------
 
@@ -434,17 +435,29 @@ let cells_for c =
     bigger
   end
 
+(* The counter an update lands in.  A handle registered in another scope —
+   a module-level counter registers in the global scope when its module
+   loads — counts under its name in the current scope when stats are on
+   there, so a request's private scope sees every layer's counts.  With
+   stats off there the handle's own scope keeps the update. *)
+let local c =
+  let sc = current_scope () in
+  if c.c_scope == sc || not (Atomic.get sc.on) then c else counter_in sc c.c_name
+
 let incr c =
+  let c = local c in
   let cells = cells_for c in
   let i = 2 * c.c_id in
   cells.(i) <- cells.(i) + 1
 
 let add c n =
+  let c = local c in
   let cells = cells_for c in
   let i = 2 * c.c_id in
   cells.(i) <- cells.(i) + n
 
 let record_max c n =
+  let c = local c in
   if not c.c_max then c.c_max <- true;
   let cells = cells_for c in
   let i = 2 * c.c_id in

@@ -51,11 +51,15 @@ val set_enabled : bool -> unit
 
 val counter : string -> counter
 (** Registers (or finds) the counter named [name] in the current scope.
-    The returned handle stays bound to that scope wherever it is later
-    incremented from.  Counters persist across {!reset}, which only zeroes
-    them. *)
+    Counters persist across {!reset}, which only zeroes them. *)
 
 val incr : counter -> unit
+(** Counts in the current scope: a handle registered in another scope
+    (a module-level counter registers in the global scope at load time)
+    updates its namesake in the current scope when stats are enabled
+    there, registering it on first use; with stats off there the update
+    goes to the handle's own scope.  Likewise {!add} and {!record_max}. *)
+
 val add : counter -> int -> unit
 
 val record_max : counter -> int -> unit

@@ -98,10 +98,10 @@ let valuation_prob t theta =
 (* --- compiled sampling ---------------------------------------------------- *)
 
 (* Per variable, the support [Dist.make] keeps (ascending, zero weights
-   dropped) with [Dist.sample]'s running float sums: [bounds.(i)] is the
-   sum of the first [i + 1] probabilities, added in the same order.  A draw
-   takes one uniform float and the first value whose bound exceeds it; the
-   last value needs no bound, as in [Dist.sample]. *)
+   dropped) and its [Dist.cumulative] bounds.  A draw takes one uniform
+   float and the first value whose bound exceeds it, the last value
+   needing no bound: [Dist.index], inlined, since a sample draws every
+   variable. *)
 type table = {
   values : Value.t array;
   bounds : float array;
@@ -114,17 +114,8 @@ type compiled = {
 
 let compile t =
   let table v =
-    let support = Dist.support (Dist.make ~compare:Value.compare v.domain) in
-    let acc = ref 0.0 in
-    { values = Array.of_list (List.map fst support);
-      bounds =
-        Array.of_list
-          (List.map
-             (fun (_, p) ->
-               acc := !acc +. Q.to_float p;
-               !acc)
-             support)
-    }
+    let d = Dist.make ~compare:Value.compare v.domain in
+    { values = Array.of_list (Dist.outcomes d); bounds = Dist.cumulative d }
   in
   let positions = Hashtbl.create 16 in
   List.iteri (fun i v -> Hashtbl.replace positions v.vname i) t.vars;

@@ -95,6 +95,23 @@ let sample rng d =
   in
   go 0.0 d
 
+(* [sample] without the draw: the table of running sums it compares the
+   uniform draw against, and the index it stops at.  Built by the same
+   additions in the same order, so [index (cumulative d) u] is the outcome
+   [sample] returns for the draw [u]. *)
+let cumulative d =
+  let cum = Array.make (List.length d) 0.0 in
+  List.iteri (fun i (_, p) -> cum.(i) <- (if i = 0 then 0.0 else cum.(i - 1)) +. Q.to_float p) d;
+  cum
+
+let index cum u =
+  let last = Array.length cum - 1 in
+  let i = ref 0 in
+  while !i < last && not (u < cum.(!i)) do
+    incr i
+  done;
+  !i
+
 let is_point = function [ (x, _) ] -> Some x | _ -> None
 
 let total_variation ~compare da db =

@@ -51,6 +51,16 @@ val sample : Random.State.t -> 'a t -> 'a
 (** Draws an outcome; uses float approximations of the rational weights,
     falling back to the last outcome on rounding shortfall. *)
 
+val cumulative : 'a t -> float array
+(** The running sums of the float approximations of the weights, in
+    {!support} order: the table {!sample} compares its draw against. *)
+
+val index : float array -> float -> int
+(** [index (cumulative d) u] is the position in {!support} of the outcome
+    {!sample} returns when its uniform draw is [u]: the first running sum
+    above [u], else the last outcome.  Lets a caller keep the table and
+    repeat the draw without the distribution. *)
+
 val is_point : 'a t -> 'a option
 (** [Some x] when the distribution is a point mass on [x]. *)
 

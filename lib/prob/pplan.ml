@@ -3,26 +3,34 @@ module Relation = Relational.Relation
 module Database = Relational.Database
 module Plan = Relational.Plan
 
+(* Ordered: a node's draws are the most dynamic of its operands'. *)
+type draws =
+  | No_draws  (* Repair_key-free *)
+  | Static  (* every repair-key reads a Repair_key-free argument *)
+  | Dynamic  (* some repair-key reads another's result *)
+
 type t = {
   schema : string list;
   eval : Database.t -> Relation.t Dist.t;
-  sample : Random.State.t -> Database.t -> Relation.t;
+  draw : Repair_key.draw -> Database.t -> Relation.t;
+  draws : draws;
 }
 
 let schema p = p.schema
 let eval p db = p.eval db
-let sample rng p db = p.sample rng db
+let sample rng p db = p.draw (Dist.sample rng) db
 
 let rcompare = Relation.compare
 
 (* A Repair_key-free subtree is one compiled deterministic plan: a point
-   distribution under [eval], no RNG consumption under [sample] — exactly
-   like the interpreter's [to_algebra] fast path. *)
+   distribution under [eval], no draw under [draw] — exactly like the
+   interpreter's [to_algebra] fast path. *)
 let det plan =
   {
     schema = Plan.schema plan;
     eval = (fun db -> Dist.return (Plan.run plan db));
-    sample = (fun _ db -> Plan.run plan db);
+    draw = (fun _ db -> Plan.run plan db);
+    draws = No_draws;
   }
 
 (* [Obs.wrap1]/[wrap2] are identity when stats are off (checked once here,
@@ -34,23 +42,25 @@ let unary ~op out f c =
   {
     schema = out;
     eval = (fun db -> Dist.map ~compare:rcompare f (c.eval db));
-    sample = (fun rng db -> f (c.sample rng db));
+    draw = (fun draw db -> f (c.draw draw db));
+    draws = c.draws;
   }
 
 (* The interpreter ([Palgebra.eval_sampled]) hands both sub-results to one
    function call, whose arguments OCaml evaluates right to left — so the
-   RIGHT operand draws from the RNG first.  Sample in that same order here,
+   RIGHT operand draws from the RNG first.  Draw in that same order here,
    keeping fixed-seed runs bit-identical with and without plans. *)
 let binary ~op out f a b =
   let f = Obs.wrap2 ("pplan." ^ op) f in
   {
     schema = out;
     eval = (fun db -> Dist.product ~compare:rcompare f (a.eval db) (b.eval db));
-    sample =
-      (fun rng db ->
-        let rb = b.sample rng db in
-        let ra = a.sample rng db in
+    draw =
+      (fun draw db ->
+        let rb = b.draw draw db in
+        let ra = a.draw draw db in
         f ra rb);
+    draws = max a.draws b.draws;
   }
 
 let rec plan ~schema_of (e : Palgebra.t) =
@@ -101,16 +111,19 @@ let rec plan ~schema_of (e : Palgebra.t) =
       let ki = Array.of_list (Algebra.indices_of c.schema key) in
       let wi = Option.map (fun w -> List.hd (Algebra.indices_of c.schema [ w ])) weight in
       let repair = Obs.wrap1 "pplan.repair_key" (Repair_key.repair_at ~key:ki ?weight:wi) in
-      let sample_one =
-        Obs.wrap2 "pplan.repair_key" (fun rng r -> Repair_key.sample_at rng ~key:ki ?weight:wi r)
+      let draw_one =
+        Obs.wrap2 "pplan.repair_key" (fun draw r -> Repair_key.draw_at draw ~key:ki ?weight:wi r)
       in
       {
         schema = c.schema;
         eval = (fun db -> Dist.bind ~compare:rcompare (c.eval db) repair);
-        sample =
-          (fun rng db ->
-            let r = c.sample rng db in
-            sample_one rng r);
+        draw =
+          (fun draw db ->
+            let r = c.draw draw db in
+            draw_one draw r);
+        (* The groups, and so the draws, depend on the argument alone: when
+           it draws nothing they are a function of the state. *)
+        draws = (if c.draws = No_draws then Static else Dynamic);
       })
 
 let compile ~schema_of e = plan ~schema_of e
@@ -160,11 +173,15 @@ let apply ip db =
       Dist.product ~compare:Database.compare (fun db r -> Database.add name r db) acc d)
     (Dist.return Database.empty) dists
 
-(* Mirrors [Interp.apply_sampled]: rules sampled in binding order. *)
-let apply_sampled rng ip db =
+(* Mirrors [Interp.apply_sampled]: rules drawn in binding order. *)
+let apply_drawn draw ip db =
   List.fold_left
-    (fun acc (name, p) -> Database.add name (p.sample rng db) acc)
+    (fun acc (name, p) -> Database.add name (p.draw draw db) acc)
     Database.empty ip
+
+let apply_sampled rng ip db = apply_drawn (Dist.sample rng) ip db
+
+let static_draws ip = List.for_all (fun (_, p) -> p.draws <> Dynamic) ip
 
 (* --- compiled-artifact cache --------------------------------------------- *)
 

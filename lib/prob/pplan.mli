@@ -7,8 +7,17 @@
     {!Relational.Plan} plans, the remaining operators become positional
     closures via {!Relational.Plan.Ops}, and [repair-key] resolves its key
     and weight columns to positions feeding
-    {!Repair_key.repair_at}/{!Repair_key.sample_at}.  All
+    {!Repair_key.repair_at}/{!Repair_key.draw_at}.  All
     {!Relational.Relation.Schema_error}s are raised at compile time.
+
+    Each plan node carries two closures: exact evaluation, and one sampled
+    execution parameterised by a {!Repair_key.draw} that picks each
+    repair-key group's tuple, groups in ascending key order within a
+    repair-key and the right operand of a binary operator before the left.
+    [Dist.sample rng] makes that a random draw ({!sample},
+    {!apply_sampled}); a caller can also record the draws or force earlier
+    ones ({!apply_drawn}), which is how the non-inflationary sampler
+    replays a state's steps without re-running its plans.
 
     Contract with the interpreter, for every database matching the
     compiled schemas:
@@ -35,7 +44,8 @@ val eval : t -> Relational.Database.t -> Relational.Relation.t Dist.t
 (** Exact evaluation; agrees with {!Palgebra.eval}. *)
 
 val sample : Random.State.t -> t -> Relational.Database.t -> Relational.Relation.t
-(** One sampled world; agrees draw-for-draw with {!Palgebra.eval_sampled}. *)
+(** [draw (Dist.sample rng)]: one sampled world; agrees draw-for-draw with
+    {!Palgebra.eval_sampled}. *)
 
 (** {2 Delta plans}
 
@@ -74,9 +84,21 @@ val compile_interp : schema_of:(string -> string list) -> Interp.t -> interp
 val apply : interp -> Relational.Database.t -> Relational.Database.t Dist.t
 (** Agrees with {!Interp.apply} as an exact distribution. *)
 
+val apply_drawn : Repair_key.draw -> interp -> Relational.Database.t -> Relational.Database.t
+(** One successor, drawing through [draw] rule by rule in binding order. *)
+
 val apply_sampled :
   Random.State.t -> interp -> Relational.Database.t -> Relational.Database.t
-(** Agrees draw-for-draw with {!Interp.apply_sampled}. *)
+(** [apply_drawn (Dist.sample rng)]; agrees draw-for-draw with
+    {!Interp.apply_sampled}. *)
+
+val static_draws : interp -> bool
+(** Whether every repair-key of the kernel reads a deterministic argument,
+    decided when the kernel is compiled.  Then the groups a step draws
+    from, their order and their weights are a function of the state alone,
+    so a state's draws can be recorded once and replayed.  Datalog-compiled
+    kernels always have this property; a repair-key nested under another's
+    argument does not. *)
 
 (** {2 Compiled-artifact cache}
 

@@ -91,22 +91,23 @@ let num_repairs ~key r =
   let groups = groups_of r key None in
   Key_map.fold (fun _ ts acc -> acc * List.length ts) groups 1
 
-(* One RNG draw per key group.  The enabled check runs once per repair-key
+type draw = Tuple.t Dist.t -> Tuple.t
+
+(* One draw per key group.  The enabled check runs once per repair-key
    execution (not per group/tuple), per the [Obs] contract. *)
 let draws_c = Obs.counter "repair_key.draws"
 
-let sample_groups rng cols groups =
+let draw_groups draw cols groups =
   if Obs.enabled () then Obs.add draws_c (List.length groups);
   let chosen =
     List.map
-      (fun (_, choices) ->
-        Dist.sample rng (Dist.make_unnormalised ~compare:Tuple.compare choices))
+      (fun (_, choices) -> draw (Dist.make_unnormalised ~compare:Tuple.compare choices))
       groups
   in
   Relation.make cols chosen
 
 let sample rng ~key ?weight r =
-  sample_groups rng (Relation.columns r) (Key_map.bindings (groups_of r key weight))
+  draw_groups (Dist.sample rng) (Relation.columns r) (Key_map.bindings (groups_of r key weight))
 
-let sample_at rng ~key ?weight r =
-  sample_groups rng (Relation.columns r) (Key_map.bindings (groups_of_at r ~ki:key ~wi:weight))
+let draw_at draw ~key ?weight r =
+  draw_groups draw (Relation.columns r) (Key_map.bindings (groups_of_at r ~ki:key ~wi:weight))

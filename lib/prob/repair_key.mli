@@ -29,13 +29,20 @@ val sample : Random.State.t -> key:string list -> ?weight:string
 
     Used by compiled plans ({!Pplan}), which resolve the key and weight
     columns to positions once at plan-build time.  [repair ~key ?weight r]
-    is exactly [repair_at] on the resolved positions (and likewise for
-    {!sample}/{!sample_at}), so name-based and positional evaluation agree
-    — including the RNG draw sequence: groups are visited in ascending key
-    order either way. *)
+    is exactly [repair_at] on the resolved positions, and
+    [sample rng ~key ?weight r] is [draw_at (Dist.sample rng)] on them, so
+    name-based and positional evaluation agree — including the RNG draw
+    sequence: groups are visited in ascending key order either way. *)
 
 val repair_at : key:int array -> ?weight:int -> Relational.Relation.t
   -> Relational.Relation.t Dist.t
 
-val sample_at : Random.State.t -> key:int array -> ?weight:int
+type draw = Relational.Tuple.t Dist.t -> Relational.Tuple.t
+(** Picks one tuple of a key group's (normalised) distribution.
+    [Dist.sample rng] is the random draw; a caller may record the draws or
+    replay earlier ones instead. *)
+
+val draw_at : draw -> key:int array -> ?weight:int
   -> Relational.Relation.t -> Relational.Relation.t
+(** One repair, calling [draw] once per key group in ascending key order.
+    Counts one ["repair_key.draws"] tick per group. *)

@@ -611,6 +611,133 @@ let test_slice_hitting_product () =
   Alcotest.check q_t "unsliced product" (hitting single) (hitting product);
   Alcotest.check q_t "sliced product" (hitting single) (hitting sliced)
 
+(* The step memo ({!Eval.Sample_noninflationary}) against plain stepping:
+   the same walks drawn by [Lang.Forever.step_sampled] on the same pool,
+   with the hits, the time-average and the caller's RNG state compared bit
+   for bit. *)
+let plain_walk rng ~burn_in q init =
+  let rec go db k =
+    if k = 0 then Lang.Event.holds q.Lang.Forever.event db
+    else go (Lang.Forever.step_sampled rng q db) (k - 1)
+  in
+  go init burn_in
+
+let plain_time_average rng ~burn_in ~steps q init =
+  let db = ref init in
+  for _ = 1 to burn_in do
+    db := Lang.Forever.step_sampled rng q !db
+  done;
+  let hits = ref 0 in
+  for _ = 1 to steps do
+    if Lang.Event.holds q.Lang.Forever.event !db then incr hits;
+    db := Lang.Forever.step_sampled rng q !db
+  done;
+  float_of_int !hits /. float_of_int steps
+
+(* The two streams are at the same position when their next draws agree. *)
+let same_stream r1 r2 = Int.equal (Random.State.bits r1) (Random.State.bits r2)
+
+let memo_matches_plain ?(samples = 24) ?(steps = 200) ~seed ~burn_ins q init =
+  List.for_all
+    (fun burn_in ->
+      List.for_all
+        (fun domains ->
+          let r1 = Random.State.make [| seed; burn_in |] and r2 = Random.State.make [| seed; burn_in |] in
+          let m = Eval.Sample_noninflationary.run_samples ~domains r1 ~burn_in ~samples q init in
+          let p =
+            Eval.Pool.run_samples ~domains ~samples r2 (fun rng -> plain_walk rng ~burn_in q init)
+          in
+          Int.equal m.Eval.Pool.hits p.Eval.Pool.hits && same_stream r1 r2)
+        [ 1; 2 ]
+      &&
+      let r1 = Random.State.make [| seed; burn_in |] and r2 = Random.State.make [| seed; burn_in |] in
+      let m = Eval.Sample_noninflationary.eval_time_average r1 ~burn_in ~steps q init in
+      let p = plain_time_average r2 ~burn_in ~steps q init in
+      Int64.equal (Int64.bits_of_float m) (Int64.bits_of_float p) && same_stream r1 r2)
+    burn_ins
+
+let prop_memo_matches_plain_certain =
+  QCheck.Test.make ~name:"step memo = plain stepping, bit for bit (certain)" ~count:12 arb_case
+    (fun seed ->
+      let case = case_of seed in
+      let kernel, init =
+        Lang.Compile.noninflationary_kernel case.Workload.Progen.program case.Workload.Progen.database
+      in
+      let q = compiled_of init (Lang.Forever.make ~kernel ~event:case.Workload.Progen.event) in
+      String.equal (Eval.Sample_noninflationary.stepper q) "memo"
+      && memo_matches_plain ~seed ~burn_ins:[ 0; 1; 7; 50 ] q init)
+
+let prop_memo_matches_plain_pctable =
+  QCheck.Test.make ~name:"step memo = plain stepping, bit for bit (pc-table)" ~count:12 arb_case
+    (fun seed ->
+      let case, ct = pctable_of_case seed in
+      let kernel, init =
+        Lang.Compile.noninflationary_kernel_ctable case.Workload.Progen.program ct
+      in
+      let q = compiled_of init (Lang.Forever.make ~kernel ~event:case.Workload.Progen.event) in
+      String.equal (Eval.Sample_noninflationary.stepper q) "memo"
+      && memo_matches_plain ~seed ~burn_ins:[ 0; 1; 7; 50 ] q init)
+
+let compiled_program src =
+  let parsed = Lang.Parser.parse src in
+  let kernel, init = Eval.Engine.noninflationary_kernel parsed in
+  (compiled_of init (Lang.Forever.make ~kernel ~event:(Option.get parsed.Lang.Parser.event)), init)
+
+let flag_program ~flags ~weights =
+  let b = Buffer.create 1024 in
+  for i = 0 to flags - 1 do
+    Buffer.add_string b
+      (Printf.sprintf "var f%d = { true: %s }.\nedge(v0, w%d) when f%d = true.\n" i weights i i)
+  done;
+  Buffer.add_string b "Hop(Y) :- edge(X, Y).\n?- Hop(w0).\n";
+  Buffer.contents b
+
+(* A repair-key reading another's result: the groups a step draws from
+   depend on the earlier draw, so nothing can be replayed and the walk
+   steps on the plans. *)
+let test_memo_nested_repair_key () =
+  let module P = Prob.Palgebra in
+  let col v = Relational.Relation.make [ "v" ] (List.map (fun x -> [| Relational.Value.Str x |]) v) in
+  let init = Database.of_list [ ("B", col [ "a"; "b"; "c" ]); ("S", col [ "a" ]) ] in
+  let kernel =
+    Prob.Interp.make
+      [ ("S", P.repair_key_all (P.Union (P.repair_key_all (P.Rel "B"), P.Rel "S")));
+        Prob.Interp.unchanged "B"
+      ]
+  in
+  let q =
+    compiled_of init
+      (Lang.Forever.make ~kernel ~event:(Lang.Event.make "S" [ Relational.Value.Str "a" ]))
+  in
+  Alcotest.(check string) "stepper" "plan" (Eval.Sample_noninflationary.stepper q);
+  Alcotest.(check bool) "same as plain stepping" true
+    (memo_matches_plain ~samples:64 ~seed:3 ~burn_ins:[ 0; 7 ] q init)
+
+(* 18 independent flags: 2^18 states, so walks rarely revisit one and the
+   memo fills to its cap, after which walks step on the plans. *)
+let test_memo_past_capacity () =
+  let q, init = compiled_program (flag_program ~flags:18 ~weights:"1/2, false: 1/2") in
+  let interned =
+    Obs.Scope.run (Obs.Scope.make ()) (fun () ->
+        Obs.set_enabled true;
+        ignore
+          (Eval.Sample_noninflationary.run_samples (Random.State.make [| 5 |]) ~burn_in:20
+             ~samples:100 q init);
+        Obs.count_of "engine.states")
+  in
+  Alcotest.(check int) "memo filled" Eval.Sample_noninflationary.memo_states interned;
+  Alcotest.(check bool) "same as plain stepping" true
+    (memo_matches_plain ~samples:100 ~steps:500 ~seed:5 ~burn_ins:[ 20 ] q init)
+
+(* 70 flags, more binary groups than a 63-bit mixed-radix key can hold;
+   skewed so that choice vectors repeat and the memo both replays and
+   re-runs the kernel on vectors it has not seen. *)
+let test_memo_many_groups () =
+  let q, init = compiled_program (flag_program ~flags:70 ~weights:"1/64, false: 63/64") in
+  Alcotest.(check string) "stepper" "memo" (Eval.Sample_noninflationary.stepper q);
+  Alcotest.(check bool) "same as plain stepping" true
+    (memo_matches_plain ~samples:40 ~steps:200 ~seed:9 ~burn_ins:[ 5 ] q init)
+
 let () =
   Alcotest.run "differential"
     [ ( "random-programs",
@@ -631,8 +758,16 @@ let () =
             prop_ground_sampler_matches_kernel;
             prop_slice_certain;
             prop_slice_pctable;
-            prop_partitioned_matches_exact
+            prop_partitioned_matches_exact;
+            prop_memo_matches_plain_certain;
+            prop_memo_matches_plain_pctable
           ] );
+      ( "step memo",
+        [ Alcotest.test_case "nested repair-key steps on the plans" `Quick
+            test_memo_nested_repair_key;
+          Alcotest.test_case "18 flags: past the memo's capacity" `Quick test_memo_past_capacity;
+          Alcotest.test_case "70 flags: keys past 62 binary groups" `Quick test_memo_many_groups
+        ] );
       ( "cone slicing",
         [ Alcotest.test_case "event on an underived relation" `Quick test_slice_underived_event;
           Alcotest.test_case "event on a missing relation" `Quick test_slice_missing_relation;

@@ -853,6 +853,31 @@ let test_scope_reset_is_scoped () =
 
 (* --- run ------------------------------------------------------------------ *)
 
+(* Module-level counters ([engine.steps], [repair_key.draws], ...) register
+   in the global scope when their modules load.  A run inside a private
+   scope with stats on must still see them, under the same names: a
+   daemon request's stats equal the one-shot CLI's. *)
+let test_module_counters_in_scope () =
+  let parsed =
+    Lang.Parser.parse
+      "?C(Y) @W :- C(X), e(X, Y, W).\nC(n0).\ne(n0, n1, 1). e(n0, n0, 1).\ne(n1, n0, 1). e(n1, n1, 2).\n?- C(n1)."
+  in
+  let semantics = Eval.Engine.Noninflationary
+  and method_ = Eval.Engine.Sampling { eps = 0.1; delta = 0.1; burn_in = 10 } in
+  let stats_of r = Option.get r.Eval.Engine.stats in
+  let global = stats_of (Eval.Engine.run ~seed:4 ~stats:true ~semantics ~method_ parsed) in
+  let scoped =
+    Obs.Scope.run (Obs.Scope.make ()) (fun () ->
+        Obs.set_enabled true;
+        stats_of
+          (Eval.Engine.execute ~seed:4 ~stats:true
+             (Eval.Engine.prepare ~semantics ~method_ parsed)))
+  in
+  Alcotest.(check bool) "global run counted" true (global.Eval.Engine.steps > 0);
+  Alcotest.(check int) "steps" global.Eval.Engine.steps scoped.Eval.Engine.steps;
+  Alcotest.(check int) "draws" global.Eval.Engine.draws scoped.Eval.Engine.draws;
+  Alcotest.(check int) "states" global.Eval.Engine.states scoped.Eval.Engine.states
+
 let () =
   Alcotest.run "obs"
     [ ( "clock",
@@ -892,7 +917,10 @@ let () =
           Alcotest.test_case "empty and clamped observations" `Quick test_hist_empty
         ] );
       ( "counters",
-        [ Alcotest.test_case "4-domain hammer loses nothing" `Slow test_counter_race_exact ] );
+        [ Alcotest.test_case "4-domain hammer loses nothing" `Slow test_counter_race_exact;
+          Alcotest.test_case "module-level counters count in the caller's scope" `Quick
+            test_module_counters_in_scope
+        ] );
       ( "log",
         [ Alcotest.test_case "sink capture, levels, JSON shape" `Quick test_log_sink_and_levels ] );
       ( "scopes",

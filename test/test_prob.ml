@@ -446,9 +446,9 @@ let test_repair_at_agrees () =
        (Repair_key.repair_at ~key:ki ~weight:wi basketball));
   for seed = 0 to 49 do
     let r1 = Random.State.make [| seed |] and r2 = Random.State.make [| seed |] in
-    Alcotest.check relation_t "sample_at = sample"
+    Alcotest.check relation_t "draw_at = sample"
       (Repair_key.sample r1 ~key:[ "Player" ] ~weight:"Belief" basketball)
-      (Repair_key.sample_at r2 ~key:ki ~weight:wi basketball);
+      (Repair_key.draw_at (Dist.sample r2) ~key:ki ~weight:wi basketball);
     Alcotest.(check int) "same stream position" (Random.State.int r1 1_000_000)
       (Random.State.int r2 1_000_000)
   done
